@@ -113,6 +113,39 @@ func TestDigestDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// TestDigestGolden pins the final digest of a short warmed run of every
+// scheme. The other digest tests compare streams within one build; this
+// one proves that simulated state, and the way it is folded, stay the
+// same across commits. A refactor that should not change behaviour must
+// leave these values alone; a change that means to alter behaviour
+// updates them and says why.
+func TestDigestGolden(t *testing.T) {
+	golden := map[nim.Scheme]string{
+		nim.CMPDNUCA:   "5c466c342a2b2d89",
+		nim.CMPDNUCA2D: "da7f673ef3aae958",
+		nim.CMPSNUCA3D: "71beebf70282e760",
+		nim.CMPDNUCA3D: "bfe842d5eb243159",
+	}
+	for _, scheme := range nim.Schemes() {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := nim.DefaultConfig(scheme)
+			bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
+			sim, err := nim.NewSimulation(cfg, bench, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			sim.Warm()
+			sim.Start()
+			sim.AttachDigest(1_000)
+			sim.Run(20_000)
+			if got, want := sim.Results().Digests.Digest, golden[scheme]; got != want {
+				t.Errorf("final digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
 // TestDigestRecordPathAllocs pins the record path at zero allocations
 // once the stream is reserved: folding every subsystem of a live
 // full-stack machine (DTM, thermal, sampler attached) heap-allocates

@@ -266,7 +266,7 @@ func (cl *Cluster) install(addr cache.LineAddr, sharers uint16, dirty bool) {
 			s.replicas[addr] &^= 1 << uint(cl.id)
 			s.cleanReplicaMask(addr)
 		}
-		s.lineLoc[addr] = cl.id
+		s.lineDir.Set(addr, cl.id)
 		return
 	}
 	way, victim, evicted := set.Insert(p.Tag)
@@ -278,7 +278,7 @@ func (cl *Cluster) install(addr cache.LineAddr, sharers uint16, dirty bool) {
 	e.Dirty = dirty
 	cl.banks[p.Bank].Writes++
 	cl.emitBank(obs.EvBankWrite, p.Bank, addr)
-	s.lineLoc[addr] = cl.id
+	s.lineDir.Set(addr, cl.id)
 }
 
 // emitBank reports a bank SRAM access (EvBankRead or EvBankWrite) to the
@@ -308,8 +308,8 @@ func (cl *Cluster) evict(p cache.Place, victim cache.Entry) {
 		s.dropReplicaState(victimAddr, cl.id, victim)
 		return
 	}
-	if loc, ok := s.lineLoc[victimAddr]; ok && loc == cl.id {
-		delete(s.lineLoc, victimAddr)
+	if loc, ok := s.lineDir.Get(victimAddr); ok && loc == cl.id {
+		s.lineDir.Delete(victimAddr)
 	}
 	if victim.Dirty {
 		s.M.MemWrites.Inc()

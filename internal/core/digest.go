@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/cache"
 	"repro/internal/digest"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -141,15 +142,16 @@ func (s *System) foldMetrics(r *digest.Recorder) {
 }
 
 // foldDirectory folds the MSI directory's map-backed state: the line
-// location map, the in-flight transaction table, and the replica masks.
+// location directory, the in-flight transaction table, and the replica
+// masks. The line directory folds the same (addr, cluster) pairs a flat
+// map of lines would, so its paged layout does not show in the digest.
 func (s *System) foldDirectory(r *digest.Recorder) {
 	var x uint64
-	for addr, loc := range s.lineLoc {
-		h := digest.Mix(uint64(addr))
-		x ^= digest.Mixed(h, uint64(loc))
-	}
+	s.lineDir.Walk(func(addr cache.LineAddr, loc int) {
+		x ^= digest.Mixed(digest.Mix(uint64(addr)), uint64(loc))
+	})
 	r.Fold(x)
-	r.FoldInt(len(s.lineLoc))
+	r.FoldInt(s.lineDir.Len())
 
 	x = 0
 	for id, t := range s.txns {

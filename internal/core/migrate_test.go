@@ -147,7 +147,7 @@ func TestAlternatingCPUsPreventMigration(t *testing.T) {
 	if s.M.Migrations.Value() != 0 {
 		t.Errorf("contended line migrated %d times", s.M.Migrations.Value())
 	}
-	if s.lineLoc[addr] != far {
+	if lineAt(s, addr) != far {
 		t.Error("contended line moved")
 	}
 }

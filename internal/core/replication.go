@@ -33,7 +33,7 @@ func (s *System) maybeReplicate(cl *Cluster, addr cache.LineAddr, e *cache.Entry
 	if local == cl.id {
 		return
 	}
-	if loc, ok := s.lineLoc[addr]; ok && loc == local {
+	if loc, ok := s.lineDir.Get(addr); ok && loc == local {
 		return // the primary itself lives in the requester's cluster
 	}
 	bit := uint16(1) << uint(local)

@@ -48,7 +48,7 @@ func TestReplicationCreatesLocalCopy(t *testing.T) {
 	if !s.Clusters[cpu.cluster].lookup(addr) {
 		t.Fatal("replica not resident in the local cluster")
 	}
-	if s.lineLoc[addr] != home {
+	if lineAt(s, addr) != home {
 		t.Error("primary location moved")
 	}
 	if err := s.CheckSingleCopy(); err != nil {
@@ -199,7 +199,7 @@ func TestMemoryRefillInvalidatesStaleReplicas(t *testing.T) {
 	// Evict the primary behind the replica's back.
 	p := s.Cfg.L2.PlaceOf(addr)
 	s.Clusters[home].set(p).Invalidate(p.Tag)
-	delete(s.lineLoc, addr)
+	s.lineDir.Delete(addr)
 
 	// A write by another CPU misses everywhere and refills from memory;
 	// the stale replica must be gone afterward.

@@ -99,10 +99,10 @@ type System struct {
 	// cores replay external trace streams).
 	profs []trace.Profile
 
-	// lineLoc is the global line-location map. The paper's CMP-DNUCA
+	// lineDir is the global line-location directory. The paper's CMP-DNUCA
 	// baseline uses it directly ("perfect search"); the other schemes use
 	// it only to preserve the single-copy invariant on the memory path.
-	lineLoc map[cache.LineAddr]int
+	lineDir lineDir
 
 	txns       map[uint64]*txn
 	nextTxn    uint64
@@ -229,6 +229,8 @@ func newSystem(cfg config.Config, label string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Probe masks are 64 bits wide, and the line directory stores each
+	// line's cluster+1 in one byte; both rely on this limit.
 	if top.NumClusters() > 64 {
 		return nil, fmt.Errorf("core: %d clusters exceed the 64-cluster search limit", top.NumClusters())
 	}
@@ -242,7 +244,7 @@ func newSystem(cfg config.Config, label string) (*System, error) {
 		Engine:    sim.NewEngine(),
 		Fab:       fabric.NewWithVertical(top.Dim, top.Pillars, mode),
 		Benchmark: label,
-		lineLoc:   make(map[cache.LineAddr]int),
+		lineDir:   newLineDir(),
 		txns:      make(map[uint64]*txn),
 		replicas:  make(map[cache.LineAddr]uint16),
 	}
@@ -423,7 +425,7 @@ func (s *System) startTxn(c *CPU, addr cache.LineAddr, excl bool) {
 	}
 	switch {
 	case s.Cfg.Scheme.PerfectSearch():
-		if loc, ok := s.lineLoc[addr]; ok {
+		if loc, ok := s.lineDir.Get(addr); ok {
 			s.probe(t, loc)
 		} else {
 			s.memFetch(t)
@@ -531,7 +533,7 @@ func (s *System) nack(id uint64) {
 		}
 		s.memArrive(t)
 	case s.Cfg.Scheme.PerfectSearch():
-		if loc, ok := s.lineLoc[t.addr]; ok && t.retries < 4 {
+		if loc, ok := s.lineDir.Get(t.addr); ok && t.retries < 4 {
 			// The line migrated while the probe was in flight; the perfect
 			// locator re-points us.
 			t.retries++
@@ -699,7 +701,7 @@ func (s *System) memArrive(t *txn) {
 	if _, live := s.txns[t.id]; !live {
 		return // completed while the fetch was in flight
 	}
-	if loc, ok := s.lineLoc[t.addr]; ok {
+	if loc, ok := s.lineDir.Get(t.addr); ok {
 		if t.chain != nil {
 			// The fill is dropped, so the memory attempt's ledger is done;
 			// the forwarded probe opens its own.
@@ -915,29 +917,49 @@ func maxInt(a, b int) int {
 }
 
 // CheckSingleCopy verifies the L2-wide invariant that every authoritative
-// line resides in at most one cluster, modulo in-flight lazy migrations
-// (entries marked Migrating are the old copies and may coexist with the
-// new one) and read-only replicas. It returns an error naming the first
-// violating line.
+// line resides in exactly one cluster and that the line directory agrees
+// with the tag arrays. Authoritative means valid, not Migrating and not a
+// Replica: a Migrating entry is the old copy of a lazy migration and may
+// coexist with the new one, and replicas are tracked by the replica masks.
+// Every authoritative line must have a directory entry naming its cluster,
+// so a second authoritative copy of a line always disagrees with the
+// directory. The directory must hold nothing else, with one exception: a
+// migration whose data message is still in flight has retired nothing and
+// installed nothing yet, so the directory still names the Migrating old
+// copy, and that is the line's only copy. It returns an error naming the
+// first violating line.
 func (s *System) CheckSingleCopy() error {
-	seen := make(map[cache.LineAddr]int)
+	authoritative, inFlight := 0, 0
 	for _, cl := range s.Clusters {
 		for b, bank := range cl.banks {
 			for si := 0; si < bank.NumSets(); si++ {
 				set := bank.Set(si)
 				for w := 0; w < set.Ways(); w++ {
 					e := set.Way(w)
-					if !e.Valid || e.Migrating || e.Replica {
+					if !e.Valid || e.Replica {
 						continue
 					}
 					addr := s.Cfg.L2.LineOf(cache.Place{Bank: b, Set: si, Tag: e.Tag})
-					if prev, dup := seen[addr]; dup {
-						return fmt.Errorf("core: line %#x in clusters %d and %d", uint64(addr), prev, cl.id)
+					loc, ok := s.lineDir.Get(addr)
+					switch {
+					case e.Migrating:
+						if ok && loc == cl.id {
+							inFlight++
+						}
+					case !ok:
+						return fmt.Errorf("core: line %#x in cluster %d has no directory entry", uint64(addr), cl.id)
+					case loc != cl.id:
+						return fmt.Errorf("core: line %#x in cluster %d, directory names cluster %d", uint64(addr), cl.id, loc)
+					default:
+						authoritative++
 					}
-					seen[addr] = cl.id
 				}
 			}
 		}
+	}
+	if n := s.lineDir.Len(); n != authoritative+inFlight {
+		return fmt.Errorf("core: directory holds %d lines, L2 holds %d authoritative and %d mid-migration",
+			n, authoritative, inFlight)
 	}
 	return nil
 }

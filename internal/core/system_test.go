@@ -24,6 +24,15 @@ func testSystem(t *testing.T, scheme config.Scheme) *System {
 	return s
 }
 
+// lineAt returns the cluster the line directory names for addr, or -1 when
+// the line is not resident.
+func lineAt(s *System, addr cache.LineAddr) int {
+	if loc, ok := s.lineDir.Get(addr); ok {
+		return loc
+	}
+	return -1
+}
+
 // drain runs the engine until no transactions remain outstanding.
 func drain(t *testing.T, s *System) {
 	t.Helper()
@@ -43,7 +52,7 @@ func TestReadMissFetchesFromMemory(t *testing.T) {
 	}
 	// The line now resides at its home cluster.
 	home := s.Cfg.L2.PlaceOf(addr).HomeCluster
-	if loc, ok := s.lineLoc[addr]; !ok || loc != home {
+	if loc, ok := s.lineDir.Get(addr); !ok || loc != home {
 		t.Fatalf("line at %d, want home %d", loc, home)
 	}
 	// Miss latency includes the 260-cycle memory access.
@@ -156,23 +165,23 @@ func TestMigrationTowardAccessor(t *testing.T) {
 	s.Clusters[far].install(addr, 0, false)
 
 	prevDist := clusterDist(s, far, cpu.cluster)
-	for round := 0; round < 12 && s.lineLoc[addr] != cpu.cluster; round++ {
+	for round := 0; round < 12 && lineAt(s, addr) != cpu.cluster; round++ {
 		for i := 0; i < s.Cfg.MigrationThreshold; i++ {
 			s.startTxn(cpu, addr, false)
 			drain(t, s)
 		}
 		// Let any triggered migration complete.
 		s.Engine.Run(5000)
-		cur := s.lineLoc[addr]
+		cur := lineAt(s, addr)
 		d := clusterDist(s, cur, cpu.cluster)
 		if d > prevDist {
 			t.Fatalf("line moved away: cluster %d at distance %d (was %d)", cur, d, prevDist)
 		}
 		prevDist = d
 	}
-	if s.lineLoc[addr] != cpu.cluster {
+	if lineAt(s, addr) != cpu.cluster {
 		t.Fatalf("line never reached the accessor's cluster (at %d, want %d)",
-			s.lineLoc[addr], cpu.cluster)
+			lineAt(s, addr), cpu.cluster)
 	}
 	if s.M.Migrations.Value() == 0 {
 		t.Fatal("no migrations counted")
@@ -216,18 +225,18 @@ func TestInterLayerMigrationStaysOnLayer(t *testing.T) {
 	addr := cache.LineAddr(0x5151)
 	s.Clusters[far].install(addr, 0, false)
 
-	for round := 0; round < 12 && s.lineLoc[addr] != pillarCluster; round++ {
+	for round := 0; round < 12 && lineAt(s, addr) != pillarCluster; round++ {
 		for i := 0; i < s.Cfg.MigrationThreshold; i++ {
 			s.startTxn(cpu, addr, false)
 			drain(t, s)
 		}
 		s.Engine.Run(5000)
-		if got := s.Top.ClusterLayer(s.lineLoc[addr]); got != otherLayer {
+		if got := s.Top.ClusterLayer(lineAt(s, addr)); got != otherLayer {
 			t.Fatalf("line crossed layers: now on layer %d", got)
 		}
 	}
-	if s.lineLoc[addr] != pillarCluster {
-		t.Fatalf("line at cluster %d, want pillar cluster %d", s.lineLoc[addr], pillarCluster)
+	if lineAt(s, addr) != pillarCluster {
+		t.Fatalf("line at cluster %d, want pillar cluster %d", lineAt(s, addr), pillarCluster)
 	}
 }
 
@@ -268,7 +277,7 @@ func TestNoMigrationInSNUCA(t *testing.T) {
 	if s.M.Migrations.Value() != 0 {
 		t.Errorf("static scheme migrated %d times", s.M.Migrations.Value())
 	}
-	if s.lineLoc[addr] != home {
+	if lineAt(s, addr) != home {
 		t.Error("line moved in static scheme")
 	}
 }
@@ -306,7 +315,7 @@ func TestExclusiveTransactionSetsDirty(t *testing.T) {
 	s.startTxn(s.CPUs[2], addr, true)
 	drain(t, s)
 	p := s.Cfg.L2.PlaceOf(addr)
-	set := s.Clusters[s.lineLoc[addr]].set(p)
+	set := s.Clusters[lineAt(s, addr)].set(p)
 	way, ok := set.Lookup(p.Tag)
 	if !ok {
 		t.Fatal("line vanished")
@@ -419,7 +428,7 @@ func TestWarmResidency(t *testing.T) {
 		count := func(r trace.Region) {
 			for i := 0; i < r.Len(); i++ {
 				total++
-				if _, ok := s.lineLoc[r.Line(i)]; ok {
+				if _, ok := s.lineDir.Get(r.Line(i)); ok {
 					resident++
 				}
 			}
@@ -434,11 +443,11 @@ func TestWarmResidency(t *testing.T) {
 		}
 		// Static scheme: every resident line is at its home cluster.
 		if scheme == config.CMPSNUCA3D {
-			for addr, loc := range s.lineLoc {
+			s.lineDir.Walk(func(addr cache.LineAddr, loc int) {
 				if home := s.Cfg.L2.PlaceOf(addr).HomeCluster; loc != home {
 					t.Fatalf("SNUCA line %#x at %d, home %d", uint64(addr), loc, home)
 				}
-			}
+			})
 		}
 	}
 }
@@ -626,12 +635,12 @@ func TestStreamDrivenSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Warm(1) // must be a no-op for stream systems
-	if len(s.lineLoc) != 0 {
+	if s.lineDir.Len() != 0 {
 		t.Fatal("profile warm ran on a stream-driven system")
 	}
 	s.WarmAddresses(footprint)
-	if len(s.lineLoc) != len(footprint) {
-		t.Fatalf("warmed %d of %d lines", len(s.lineLoc), len(footprint))
+	if s.lineDir.Len() != len(footprint) {
+		t.Fatalf("warmed %d of %d lines", s.lineDir.Len(), len(footprint))
 	}
 	s.Start()
 	s.Run(20_000)

@@ -219,7 +219,7 @@ func (s *System) spillChain(home int) []int {
 // warmPlace installs a line into the first cluster in the preference chain
 // with a free way, without evicting. Already-placed lines are left alone.
 func (s *System) warmPlace(addr cache.LineAddr, chain []int, sharers uint16, dirty bool, lastCPU int8, hits uint8) {
-	if _, ok := s.lineLoc[addr]; ok {
+	if _, ok := s.lineDir.Get(addr); ok {
 		return
 	}
 	p := s.Cfg.L2.PlaceOf(addr)
@@ -231,7 +231,7 @@ func (s *System) warmPlace(addr cache.LineAddr, chain []int, sharers uint16, dir
 			e.Dirty = dirty
 			e.LastCPU = lastCPU
 			e.Hits = hits
-			s.lineLoc[addr] = cl
+			s.lineDir.Set(addr, cl)
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/trace"
 )
@@ -23,12 +24,12 @@ func TestStaticWarmNeverSpills(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Warm(1)
-		for addr, loc := range s.lineLoc {
+		s.lineDir.Walk(func(addr cache.LineAddr, loc int) {
 			if home := s.Cfg.L2.PlaceOf(addr).HomeCluster; loc != home {
 				t.Fatalf("%s: line %#x warmed into cluster %d, home %d",
 					bench, uint64(addr), loc, home)
 			}
-		}
+		})
 	}
 }
 
@@ -69,7 +70,7 @@ func TestWarmMigratingPlacesInVicinity(t *testing.T) {
 		st := prof.StreamRegion(id)
 		local := 0
 		for i := 0; i < st.Len(); i++ {
-			if loc, ok := s.lineLoc[st.Line(i)]; ok && loc == s.CPUs[id].cluster {
+			if loc, ok := s.lineDir.Get(st.Line(i)); ok && loc == s.CPUs[id].cluster {
 				local++
 			}
 		}
@@ -91,7 +92,7 @@ func TestWarmSeedsMigrationCounters(t *testing.T) {
 	seeded := 0
 	for i := 0; i < st.Len(); i++ {
 		addr := st.Line(i)
-		loc, ok := s.lineLoc[addr]
+		loc, ok := s.lineDir.Get(addr)
 		if !ok || loc == s.CPUs[0].cluster {
 			continue
 		}
@@ -129,5 +130,38 @@ func TestHeatmapOutput(t *testing.T) {
 	s.BusReport(&br)
 	if !strings.Contains(br.String(), "bus 0") {
 		t.Errorf("bus report missing rows: %q", br.String())
+	}
+}
+
+// warmSink keeps BenchmarkWarm's machines live so the work is not elided.
+var warmSink *System
+
+// BenchmarkWarm times building and warming a machine: the set-up every
+// sweep point and every daemon job pays before its first simulated cycle.
+// "default" is the paper's CMP-DNUCA-3D machine, "stacked" the four-layer
+// machine with stacked CPUs.
+func BenchmarkWarm(b *testing.B) {
+	stacked := config.Default(config.CMPDNUCA3D)
+	stacked.Layers = 4
+	stacked.StackCPUs = true
+	for _, c := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"default", config.Default(config.CMPDNUCA3D)},
+		{"stacked", stacked},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			prof, _ := trace.ProfileByName("mgrid", c.cfg.NumCPUs)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := NewSystem(c.cfg, prof, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Warm(1)
+				warmSink = s
+			}
+		})
 	}
 }

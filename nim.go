@@ -212,7 +212,8 @@ func (s *Simulation) ResetStats() { s.sys.ResetStats() }
 func (s *Simulation) Results() Results { return s.sys.Results() }
 
 // CheckInvariants verifies internal consistency (the L2 single-copy
-// invariant); it is primarily for tests and debugging.
+// invariant, and that the line directory agrees with the tag arrays); it
+// is primarily for tests and debugging.
 func (s *Simulation) CheckInvariants() error { return s.sys.CheckSingleCopy() }
 
 // WriteHeatmap renders per-layer ASCII router-utilization maps to w.
