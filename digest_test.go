@@ -144,6 +144,25 @@ func TestDigestGolden(t *testing.T) {
 			}
 		})
 	}
+	// managed pins digestRun's machine: 3D schemes stacked to four layers
+	// with the DTM loop, thermal tracker and sampler attached. It covers
+	// the closed-loop actuators and the cross-layer pillar traffic the
+	// rows above do not.
+	managed := map[nim.Scheme]string{
+		nim.CMPDNUCA:   "86a1a246c14cfd79",
+		nim.CMPDNUCA2D: "16bd96423bec58ed",
+		nim.CMPSNUCA3D: "c81e38e3a0045191",
+		nim.CMPDNUCA3D: "997407109ef6ae4c",
+	}
+	t.Run("managed", func(t *testing.T) {
+		for _, scheme := range nim.Schemes() {
+			t.Run(scheme.String(), func(t *testing.T) {
+				if got, want := digestRun(t, scheme, 1, true).Digests.Digest, managed[scheme]; got != want {
+					t.Errorf("final digest %s, want %s", got, want)
+				}
+			})
+		}
+	})
 }
 
 // TestDigestRecordPathAllocs pins the record path at zero allocations
