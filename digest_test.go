@@ -3,7 +3,6 @@ package nim_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	nim "repro"
@@ -11,11 +10,10 @@ import (
 
 // digestRun executes one short run with the full observability stack the
 // digest contract must coexist with — DTM (which subsumes the thermal
-// tracker) and the metrics sampler — optionally sharded and optionally
-// with the digest recorder attached. 3D schemes use the stacked
-// four-layer machine so the serial and sharded variants describe the
-// same hardware and their digest streams are comparable.
-func digestRun(t testing.TB, scheme nim.Scheme, shards int, attach bool) nim.Results {
+// tracker) and the metrics sampler — optionally with the digest recorder
+// attached. 3D schemes use the stacked four-layer machine, whose pillar
+// buses carry the most cross-layer traffic.
+func digestRun(t testing.TB, scheme nim.Scheme, attach bool) nim.Results {
 	cfg := nim.DefaultConfig(scheme)
 	if cfg.Layers > 1 {
 		cfg.Layers = 4
@@ -27,11 +25,7 @@ func digestRun(t testing.TB, scheme nim.Scheme, shards int, attach bool) nim.Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	sim.Warm()
-	if shards > 1 {
-		sim.SetShards(shards)
-	}
 	sim.Start()
 	sim.Run(5_000)
 	sim.ResetStats()
@@ -48,67 +42,24 @@ func digestRun(t testing.TB, scheme nim.Scheme, shards int, attach bool) nim.Res
 	return sim.Results()
 }
 
-// TestDigestShardInvariance is the digest layer's reason to exist: a
-// sharded run's digest stream — every snapshot, every lane — is
-// byte-identical to the serial run's, for every scheme, with DTM,
-// thermal, and the sampler all attached. Any divergence the sharded
-// network path ever introduces shows up here as the exact cycle and
-// subsystem that first differed.
-func TestDigestShardInvariance(t *testing.T) {
-	for _, scheme := range nim.Schemes() {
-		t.Run(scheme.String(), func(t *testing.T) {
-			serial := digestRun(t, scheme, 1, true)
-			if serial.Digests == nil || serial.Digests.Records == 0 {
-				t.Fatal("serial run produced no digest stream")
-			}
-			for _, shards := range []int{2, 4} {
-				sharded := digestRun(t, scheme, shards, true)
-				if sharded.Digests == nil {
-					t.Fatalf("shards=%d run produced no digest stream", shards)
-				}
-				if sharded.Digests.Digest != serial.Digests.Digest {
-					t.Errorf("shards=%d final digest %s != serial %s",
-						shards, sharded.Digests.Digest, serial.Digests.Digest)
-				}
-				a, b := serial.Digests.Stream, sharded.Digests.Stream
-				if len(a) != len(b) {
-					t.Fatalf("shards=%d stream has %d records, serial %d", shards, len(b), len(a))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("shards=%d stream diverges at record %d (cycle %d):\nserial  %+v\nsharded %+v",
-							shards, i, a[i].Cycle, a[i], b[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestDigestDoesNotPerturb is the observer contract: attaching the
 // digest recorder changes no architectural result. Results are
 // bit-identical with the Digests report stripped — the same bar the
 // profiler meets (TestProfileDoesNotPerturb).
 func TestDigestDoesNotPerturb(t *testing.T) {
-	check := func(t *testing.T, scheme nim.Scheme, shards int) {
-		plain := digestRun(t, scheme, shards, false)
-		observed := digestRun(t, scheme, shards, true)
-		if observed.Digests == nil {
-			t.Fatal("attached run returned no Digests")
-		}
-		observed.Digests = nil
-		pj, _ := json.Marshal(plain)
-		oj, _ := json.Marshal(observed)
-		if !bytes.Equal(pj, oj) {
-			t.Fatalf("digest attachment changed results:\nplain    %s\nobserved %s", pj, oj)
-		}
-	}
 	for _, scheme := range nim.Schemes() {
-		t.Run(scheme.String(), func(t *testing.T) { check(t, scheme, 1) })
-	}
-	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			check(t, nim.CMPDNUCA3D, shards)
+		t.Run(scheme.String(), func(t *testing.T) {
+			plain := digestRun(t, scheme, false)
+			observed := digestRun(t, scheme, true)
+			if observed.Digests == nil {
+				t.Fatal("attached run returned no Digests")
+			}
+			observed.Digests = nil
+			pj, _ := json.Marshal(plain)
+			oj, _ := json.Marshal(observed)
+			if !bytes.Equal(pj, oj) {
+				t.Fatalf("digest attachment changed results:\nplain    %s\nobserved %s", pj, oj)
+			}
 		})
 	}
 }
@@ -134,7 +85,6 @@ func TestDigestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sim.Close()
 			sim.Warm()
 			sim.Start()
 			sim.AttachDigest(1_000)
@@ -157,7 +107,7 @@ func TestDigestGolden(t *testing.T) {
 	t.Run("managed", func(t *testing.T) {
 		for _, scheme := range nim.Schemes() {
 			t.Run(scheme.String(), func(t *testing.T) {
-				if got, want := digestRun(t, scheme, 1, true).Digests.Digest, managed[scheme]; got != want {
+				if got, want := digestRun(t, scheme, true).Digests.Digest, managed[scheme]; got != want {
 					t.Errorf("final digest %s, want %s", got, want)
 				}
 			})
@@ -179,7 +129,6 @@ func TestDigestRecordPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	sim.Warm()
 	sim.Start()
 	sim.Run(2_000)

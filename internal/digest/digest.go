@@ -104,8 +104,9 @@ type LaneDigest struct {
 
 // Report is the JSON-facing summary attached to Results.Digests. The
 // full snapshot stream stays in memory only (the bisector and the
-// shard-invariance test consume it); serializing thousands of records
-// into every Results blob would bloat the result cache for no reader.
+// serving tier's digest verification consume it); serializing thousands
+// of records into every Results blob would bloat the result cache for no
+// reader.
 type Report struct {
 	// Interval is the snapshot period in cycles.
 	Interval uint64 `json:"interval"`
@@ -132,10 +133,10 @@ type Recorder struct {
 	interval uint64
 	walk     func(*Recorder)
 
-	lane   Lane              // lane currently being folded
-	cur    [NumLanes]uint64  // working chain values for this snapshot
-	chains [NumLanes]uint64  // cumulative per-lane chains
-	digest uint64            // cumulative overall digest
+	lane   Lane             // lane currently being folded
+	cur    [NumLanes]uint64 // working chain values for this snapshot
+	chains [NumLanes]uint64 // cumulative per-lane chains
+	digest uint64           // cumulative overall digest
 	stream []Record
 }
 
@@ -154,8 +155,9 @@ func (r *Recorder) Interval() uint64 { return r.interval }
 
 // SetWalker installs the state-traversal function invoked at each
 // snapshot. The walker must call BeginLane for each lane in order and
-// fold that subsystem's state; it runs after the engine drains the
-// cycle's events, so it always observes post-barrier serial state.
+// fold that subsystem's state; it runs as an engine ticker after the
+// cycle's events drain and the network ticks, so it always observes
+// end-of-cycle state.
 func (r *Recorder) SetWalker(walk func(*Recorder)) { r.walk = walk }
 
 // BeginLane switches folding to lane l. Subsequent Fold calls extend

@@ -7,13 +7,11 @@ package fabric
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dtdma"
 	"repro/internal/geom"
 	"repro/internal/noc"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/stats"
 )
 
@@ -74,27 +72,8 @@ type Fabric struct {
 	// in-plane position) to each candidate's distance. pillarDiverted,
 	// when non-nil, is invoked whenever the bias changes the chosen
 	// pillar — the DTM reroute actuator's engagement count.
-	pillarPenalty func(x, y int) int
+	pillarPenalty  func(x, y int) int
 	pillarDiverted func()
-
-	// layerOf caches each router index's layer for the shard-assignment
-	// hot paths; sinkFns holds the per-node delivery callbacks so staged
-	// ejections can replay the full delivery at the horizon barrier.
-	layerOf []int
-	sinkFns []func(p *noc.Packet, cycle uint64)
-
-	// shard, when non-nil, runs the router phase of each Tick in parallel
-	// across layer shards; see SetShards and shard.go. shardedCycles
-	// counts the ticks that actually fanned out.
-	shard         *shardState
-	shardedCycles uint64
-
-	// profRec, when non-nil, receives the network phase's wall-clock
-	// attribution: the fabric times its own Tick (so the engine's
-	// classifier marks it prof.PhaseSelf) and records under PhaseNet or
-	// PhaseNetSharded depending on which path the cycle took. The shard
-	// group additionally gets the recorder's per-shard busy/wait slots.
-	profRec *prof.Recorder
 }
 
 // New builds the fabric. pillars lists the in-plane pillar positions; each
@@ -123,13 +102,10 @@ func NewWithVertical(dim geom.Dim, pillars []geom.Coord, mode VerticalMode) *Fab
 	route := f.routeFunc()
 	f.routers = make([]*noc.Router, dim.Nodes())
 	f.activeFlag = make([]bool, dim.Nodes())
-	f.layerOf = make([]int, dim.Nodes())
-	f.sinkFns = make([]func(p *noc.Packet, cycle uint64), dim.Nodes())
 	for i := range f.routers {
 		f.routers[i] = noc.NewRouter(dim.CoordOf(i), route)
-		f.layerOf[i] = dim.CoordOf(i).Layer
 		i := i
-		f.routers[i].SetWorkHook(func() { f.noteWork(i) })
+		f.routers[i].SetWorkHook(func() { f.activate(i) })
 	}
 	// Wire mesh neighbors within each layer.
 	for i, r := range f.routers {
@@ -193,7 +169,9 @@ func (f *Fabric) SetRouterPipeline(cycles int) {
 // events are also the power model's activity source.
 func (f *Fabric) SetProbe(p *obs.Probe) {
 	f.probe = p
-	f.refreshRouterProbes()
+	for _, r := range f.routers {
+		r.SetProbe(p)
+	}
 	for _, b := range f.buses {
 		b.SetProbe(p)
 	}
@@ -218,47 +196,29 @@ func (f *Fabric) Router(c geom.Coord) *noc.Router {
 
 // SetSink installs the delivery callback for packets destined to node c.
 func (f *Fabric) SetSink(c geom.Coord, fn func(p *noc.Packet, cycle uint64)) {
-	i := f.dim.Index(c)
-	f.sinkFns[i] = fn
 	f.Router(c).SetSink(func(p *noc.Packet, cycle uint64) {
-		if lg := f.stagingLog(c.Layer); lg != nil {
-			// Parallel router phase: park the ejection. The full delivery
-			// epilogue — stats, probe event, protocol response, recycle —
-			// replays in serial order at the horizon barrier.
-			lg.ops = append(lg.ops, stagedOp{pos: lg.curPos, kind: opEject, idx: i, pkt: p})
-			return
+		f.Delivered.Inc()
+		f.FlitHops.Add(uint64(p.Hops))
+		f.PktLatency.Observe(cycle - p.InjectedAt)
+		if p.Span != nil {
+			// Close the span ledger: tail serialization and body-flit
+			// stalls make up whatever the head-flit accounting left over.
+			p.Span.Finish(cycle-p.InjectedAt, p.Size)
 		}
-		f.finishEject(i, p, cycle)
+		if f.probe != nil {
+			f.probe.Emit(obs.Event{
+				Cycle: cycle, Kind: obs.EvEject,
+				X: c.X, Y: c.Y, Layer: c.Layer,
+				ID: p.ID, A: cycle - p.InjectedAt, B: uint64(p.Hops),
+			})
+		}
+		if fn != nil {
+			fn(p, cycle)
+		}
+		// The packet is dead once the delivery callback returns; recycle
+		// pool-origin packets (Put ignores caller-constructed ones).
+		f.pool.Put(p)
 	})
-}
-
-// finishEject is the delivery epilogue for a packet whose tail flit
-// reached node i: account it, emit the eject event, run the delivery
-// callback, and recycle the packet. The serial path runs it inline from
-// the router's ejection sink; the sharded path replays it at the barrier.
-func (f *Fabric) finishEject(i int, p *noc.Packet, cycle uint64) {
-	f.Delivered.Inc()
-	f.FlitHops.Add(uint64(p.Hops))
-	f.PktLatency.Observe(cycle - p.InjectedAt)
-	if p.Span != nil {
-		// Close the span ledger: tail serialization and body-flit
-		// stalls make up whatever the head-flit accounting left over.
-		p.Span.Finish(cycle-p.InjectedAt, p.Size)
-	}
-	if f.probe != nil {
-		c := f.dim.CoordOf(i)
-		f.probe.Emit(obs.Event{
-			Cycle: cycle, Kind: obs.EvEject,
-			X: c.X, Y: c.Y, Layer: c.Layer,
-			ID: p.ID, A: cycle - p.InjectedAt, B: uint64(p.Hops),
-		})
-	}
-	if fn := f.sinkFns[i]; fn != nil {
-		fn(p, cycle)
-	}
-	// The packet is dead once the delivery callback returns; recycle
-	// pool-origin packets (Put ignores caller-constructed ones).
-	f.pool.Put(p)
 }
 
 // NewPacket returns a zeroed packet drawn from the fabric's free list. The
@@ -388,61 +348,15 @@ func (f *Fabric) activate(i int) {
 	}
 }
 
-// SetProfiler attaches (nil detaches) the host-side phase recorder. The
-// fabric self-times every Tick into PhaseNet or PhaseNetSharded — the
-// split the engine cannot see — and wires the recorder's per-shard
-// busy/wait telemetry into the shard group when one exists (SetShards
-// re-wires on re-sharding). Purely host-side: a profiled fabric is
-// bit-identical to an unprofiled one.
-func (f *Fabric) SetProfiler(r *prof.Recorder) {
-	f.profRec = r
-	f.shareShardProfile()
-}
-
-// shareShardProfile points the shard group (when sharding is configured)
-// at the recorder's shard telemetry slots, or detaches them.
-func (f *Fabric) shareShardProfile() {
-	if f.shard == nil {
-		return
-	}
-	if f.profRec == nil {
-		f.shard.group.SetProfile(nil)
-		return
-	}
-	f.shard.group.SetProfile(f.profRec.ConfigureShards(f.shard.labels))
-}
-
 // Tick advances every busy router, then every pillar bus, by one cycle.
 // Routers that became busy during this tick (flits handed to a neighbor)
-// join the list for the next cycle; routers that drained leave it. With
-// sharding enabled (SetShards) and enough routers active to amortize the
-// barrier, the router phase fans out across the layer shards instead.
+// join the list for the next cycle; routers that drained leave it.
 func (f *Fabric) Tick(cycle uint64) {
-	if f.profRec != nil {
-		t0 := time.Now()
-		sharded := f.tick(cycle)
-		ph := prof.PhaseNet
-		if sharded {
-			ph = prof.PhaseNetSharded
-		}
-		f.profRec.Record(ph, time.Since(t0).Nanoseconds())
-		return
-	}
-	f.tick(cycle)
-}
-
-// tick is the tick body; it reports whether the cycle fanned out to the
-// shard workers (the profiled wrapper splits the two phases).
-func (f *Fabric) tick(cycle uint64) bool {
 	f.now = cycle
 	if f.probe == nil && len(f.activeList) == 0 && f.busyBuses == 0 {
 		// Nothing in flight and no probe watching the dTDMA slot wheel:
 		// the whole network tick is a no-op.
-		return false
-	}
-	if f.shard != nil && len(f.activeList) >= shardMinActive {
-		f.tickSharded(cycle)
-		return true
+		return
 	}
 	snapshot := len(f.activeList)
 	for k := 0; k < snapshot; k++ {
@@ -451,13 +365,6 @@ func (f *Fabric) tick(cycle uint64) bool {
 	for _, b := range f.buses {
 		b.Tick(cycle)
 	}
-	f.pruneActive()
-	return false
-}
-
-// pruneActive drops routers that drained during this tick from the
-// active list.
-func (f *Fabric) pruneActive() {
 	keep := f.activeList[:0]
 	for _, i := range f.activeList {
 		if f.routers[i].Idle() {

@@ -18,7 +18,7 @@ func (p *Packet) DigestFold(r *digest.Recorder) {
 	r.FoldBool(p.HasVia)
 	r.Fold(p.InjectedAt)
 	r.FoldBool(p.vertical)
-	r.Fold(uint64(uint32(p.Hops)))
+	r.FoldInt(p.Hops)
 }
 
 // DigestFold folds one in-flight flit: its type, sequence position,

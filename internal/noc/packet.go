@@ -110,13 +110,8 @@ type Packet struct {
 	// contents after delivery.
 	pooled bool
 
-	// Hops counts router-to-router and bus traversals, for energy
-	// accounting. It is int32 so the sharded fabric can bump it atomically:
-	// with the flits of one cross-layer packet split between a source-layer
-	// router and a destination-layer router, two shards may increment it in
-	// the same cycle (the only packet field written concurrently — the
-	// increment commutes, so order does not matter). See Router.SetAtomicHops.
-	Hops int32
+	// Hops counts router-to-router and bus traversals, for energy accounting.
+	Hops int
 }
 
 // PacketPool is a free list of Packets for allocation-free steady-state

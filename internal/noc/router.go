@@ -2,7 +2,6 @@ package noc
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -127,15 +126,6 @@ type Router struct {
 	// routing, VC-allocation stalls). Nil by default: every emission site
 	// is guarded by one pointer comparison.
 	probe *obs.Probe
-
-	// atomicHops, when set, makes the per-flit Packet.Hops increment
-	// atomic. The sharded fabric sets it on every router: a cross-layer
-	// packet's flits can sit in routers on two layers at once, so two
-	// shards may bump the counter in the same cycle. The increment
-	// commutes, so the final value is order-independent; everything that
-	// reads Hops (ejection stats, probe events) runs in the serial merge
-	// phase after the barrier.
-	atomicHops bool
 }
 
 // NewRouter creates a router at pos with the standard five physical
@@ -203,9 +193,6 @@ func (r *Router) SetWorkHook(fn func()) { r.work = fn }
 
 // SetProbe attaches (or, with nil, detaches) the observability probe.
 func (r *Router) SetProbe(p *obs.Probe) { r.probe = p }
-
-// SetAtomicHops selects atomic Packet.Hops increments; see the field.
-func (r *Router) SetAtomicHops(on bool) { r.atomicHops = on }
 
 // QueuedPackets returns the number of packets waiting in the source queue.
 func (r *Router) QueuedPackets() int { return len(r.srcQ) - r.srcHead }
@@ -322,11 +309,7 @@ func (r *Router) Tick(cycle uint64) {
 		if v.empty() {
 			r.occ &^= 1 << idx
 		}
-		if r.atomicHops {
-			atomic.AddInt32(&fl.Pkt.Hops, 1)
-		} else {
-			fl.Pkt.Hops++
-		}
+		fl.Pkt.Hops++
 		r.ForwardedFlits++
 		if sp := fl.Pkt.Span; sp != nil && (fl.Type == Head || fl.Type == HeadTail) {
 			sp.AddHop(cycle-fl.arrived, r.pipeline)

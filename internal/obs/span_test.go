@@ -10,12 +10,12 @@ import (
 
 func TestPacketSpanAccounting(t *testing.T) {
 	var ps PacketSpan
-	ps.AddSourceWait(3)                          // 3 queue
-	ps.AddHop(1, 1)                              // uncontended hop: 1 link
-	ps.AddHop(5, 1)                              // congested hop: 1 link + 4 queue
-	ps.AddBus(1)                                 // same-cycle grant: 1 transfer
-	ps.AddBus(4)                                 // 1 transfer + 3 arbitration wait
-	ps.AddBus(0)                                 // free vertical forward: nothing
+	ps.AddSourceWait(3) // 3 queue
+	ps.AddHop(1, 1)     // uncontended hop: 1 link
+	ps.AddHop(5, 1)     // congested hop: 1 link + 4 queue
+	ps.AddBus(1)        // same-cycle grant: 1 transfer
+	ps.AddBus(4)        // 1 transfer + 3 arbitration wait
+	ps.AddBus(0)        // free vertical forward: nothing
 	want := PacketSpan{Queue: 7, Link: 2, BusWait: 3, BusXfer: 2}
 	if ps != want {
 		t.Fatalf("ledger %+v, want %+v", ps, want)

@@ -81,29 +81,6 @@ func TestReportShares(t *testing.T) {
 	}
 }
 
-// TestShardReport checks the barrier-wait arithmetic: wait is round time
-// minus busy, summed across shards.
-func TestShardReport(t *testing.T) {
-	r := NewRecorder()
-	s := r.ConfigureShards([]string{"layer-0", "layer-1"})
-	s.AddBusy(0, 600)
-	s.AddBusy(1, 200)
-	s.RoundDone(1000)
-	r.runNs = 1000
-	r.runs = 1
-	rep := r.Report()
-	if rep.Shards == nil {
-		t.Fatal("no shard report")
-	}
-	// total wait = (1000-600)+(1000-200) = 1200 over span 2000
-	if got := rep.Shards.BarrierWaitFrac; got < 0.599 || got > 0.601 {
-		t.Fatalf("barrier-wait = %v, want 0.6", got)
-	}
-	if u := rep.Shards.Shards[0].Utilization; u < 0.599 || u > 0.601 {
-		t.Fatalf("shard 0 utilization = %v, want 0.6", u)
-	}
-}
-
 // TestWindowRing checks the rolling series stays bounded and drops
 // oldest-first.
 func TestWindowRing(t *testing.T) {
@@ -120,25 +97,17 @@ func TestWindowRing(t *testing.T) {
 }
 
 // TestRecordPathAllocs pins the profiler's hot paths at zero allocations:
-// the per-phase record, the shard busy/round accounting, and the window
-// append once the ring is at capacity. This is the satellite AllocsPerRun
-// pin from ISSUE 9 — the record path runs once per event per cycle, so a
-// single allocation there would dwarf the simulator's ~1.4 allocs/cycle.
+// the per-phase record and the window append once the ring is at
+// capacity. The record path runs once per event per cycle, so a single
+// allocation there would dwarf the simulator's ~1.4 allocs/cycle.
 func TestRecordPathAllocs(t *testing.T) {
 	r := NewRecorder()
-	s := r.ConfigureShards([]string{"layer-0"})
 	var ns int64
 	if got := testing.AllocsPerRun(1000, func() {
 		r.Record(PhaseProtocol, ns)
 		ns += 37
 	}); got != 0 {
 		t.Fatalf("Record allocates %v/op, want 0", got)
-	}
-	if got := testing.AllocsPerRun(1000, func() {
-		s.AddBusy(0, 11)
-		s.RoundDone(13)
-	}); got != 0 {
-		t.Fatalf("shard accounting allocates %v/op, want 0", got)
 	}
 	for i := 0; i < maxWindows; i++ {
 		r.RunEnd(0, 1)
@@ -173,13 +142,10 @@ func TestWriteTable(t *testing.T) {
 	r := NewRecorder()
 	r.Record(PhaseCPU, 300)
 	r.steps, r.runNs, r.cycles, r.runs = 3, 1000, 42, 1
-	s := r.ConfigureShards([]string{"layer-0"})
-	s.AddBusy(0, 100)
-	s.RoundDone(400)
 	var b strings.Builder
 	r.Report().WriteTable(&b)
 	out := b.String()
-	for _, want := range []string{"host profile:", "cpu", "engine", "barrier-wait", "layer-0", "mem:"} {
+	for _, want := range []string{"host profile:", "cpu", "engine", "mem:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q in:\n%s", want, out)
 		}

@@ -8,8 +8,7 @@ import (
 )
 
 // divergeBase is the common half of every bisection pair: the stacked
-// four-layer machine (so shard variants describe the same hardware),
-// short windows.
+// four-layer machine, short windows.
 func divergeBase() Job {
 	cfg := config.Default(config.CMPDNUCA3D)
 	cfg.Layers = 4
@@ -23,19 +22,23 @@ func divergeBase() Job {
 	}
 }
 
-// TestDivergeEqual: a job against its sharded self must come back equal
-// with matching final digests — the bisector attesting the sharding
-// contract rather than finding phantom divergences.
+// TestDivergeEqual: a plain job against the same job with the profiler,
+// an odd-interval sampler and a progress hook attached (the hook forces
+// chunked execution) must come back equal with matching final digests —
+// the bisector attesting the observer contract rather than finding
+// phantom divergences.
 func TestDivergeEqual(t *testing.T) {
 	a := divergeBase()
 	b := a
-	b.Shards = 2
+	b.Profile = true
+	b.SampleInterval = 777
+	b.Progress = func(float64) {}
 	rep, err := Diverge(a, b, 1_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Equal {
-		t.Fatalf("serial vs shards=2 reported divergence at cycle %d in %s", rep.Cycle, rep.Lane)
+		t.Fatalf("plain vs observed job reported divergence at cycle %d in %s", rep.Cycle, rep.Lane)
 	}
 	if rep.DigestA != rep.DigestB || rep.DigestA == "" {
 		t.Errorf("equal runs with different final digests: %s vs %s", rep.DigestA, rep.DigestB)

@@ -108,7 +108,7 @@ func TestJobIdentityConfigRoundTrip(t *testing.T) {
 // TestDigestJobIdentity pins the identity rules for the digest fields:
 // DigestInterval changes the Results bytes (the Digests report rides in
 // them), so it must split the cache; DigestVerify changes nothing a
-// client reads back, so — like Shards — it must not.
+// client reads back, so it must not.
 func TestDigestJobIdentity(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
@@ -145,7 +145,7 @@ func TestDigestJobEndToEnd(t *testing.T) {
 	body := `{
 		"scheme": "dnuca3d", "benchmark": "mgrid", "layers": 4, "stack_cpus": true,
 		"warm_cycles": 1000, "measure_cycles": 4000, "sample_interval": 500,
-		"seed": 5, "shards": 2, "digest_interval": 500, "digest_verify": true
+		"seed": 5, "digest_interval": 500, "digest_verify": true
 	}`
 	resp, out := post(t, ts.URL+"/jobs?wait=1", body)
 	if resp.StatusCode != http.StatusOK {
@@ -168,7 +168,7 @@ func TestDigestJobEndToEnd(t *testing.T) {
 		t.Error("digest_verify requested but job not verified")
 	}
 	if st.Digest.Mismatch {
-		t.Errorf("sharded run mismatched its serial reference at cycle %d in %s — bit-identity broken",
+		t.Errorf("hooked, profiled run mismatched its hook-free reference at cycle %d in %s — an observer perturbed the simulation",
 			st.Digest.MismatchCycle, st.Digest.MismatchLane)
 	}
 	if !strings.Contains(string(st.Results), `"Digests"`) {

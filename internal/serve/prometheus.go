@@ -81,7 +81,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		id       string
 		state    string
 		fraction float64
-		shards   int
 		counters map[string]uint64
 		profile  *prof.Snapshot
 
@@ -97,10 +96,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rows := make([]jobRow, 0, len(recs))
 	for _, rec := range recs {
 		rec.mu.Lock()
-		jr := jobRow{id: rec.id, state: rec.state, fraction: rec.fraction, shards: rec.run.Shards, profile: rec.profile}
-		if jr.shards < 1 {
-			jr.shards = 1 // a zero-valued Shards runs the serial path
-		}
+		jr := jobRow{id: rec.id, state: rec.state, fraction: rec.fraction, profile: rec.profile}
 		if len(rec.counters) > 0 {
 			jr.counters = make(map[string]uint64, len(rec.counters))
 			for _, nv := range rec.counters {
@@ -127,10 +123,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# HELP nimsim_job_progress Completion fraction of each registered job.\n# TYPE nimsim_job_progress gauge\n")
 	for _, jr := range rows {
 		fmt.Fprintf(&b, "nimsim_job_progress{job=%q,state=%q} %g\n", jr.id, jr.state, jr.fraction)
-	}
-	fmt.Fprintf(&b, "# HELP nimsim_job_shards Layer-shard goroutines the job's network phase fans out over (1 = serial).\n# TYPE nimsim_job_shards gauge\n")
-	for _, jr := range rows {
-		fmt.Fprintf(&b, "nimsim_job_shards{job=%q} %d\n", jr.id, jr.shards)
 	}
 	fmt.Fprintf(&b, "# HELP nimsim_job_counter Per-job simulator counters (cumulative over the measurement window).\n# TYPE nimsim_job_counter counter\n")
 	for _, jr := range rows {
@@ -166,13 +158,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		fmt.Fprintf(&b, "nimsim_job_cycles_per_sec{job=%q} %g\n", jr.id, jr.profile.CyclesPerSec)
-	}
-	fmt.Fprintf(&b, "# HELP nimsim_job_barrier_wait_frac Fraction of sharded-round worker time spent waiting at the cycle barrier, per job (serial jobs report nothing).\n# TYPE nimsim_job_barrier_wait_frac gauge\n")
-	for _, jr := range rows {
-		if jr.profile == nil || jr.profile.BarrierWaitFrac == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "nimsim_job_barrier_wait_frac{job=%q} %g\n", jr.id, jr.profile.BarrierWaitFrac)
 	}
 
 	// Trace-ring drops, per finished job: non-zero means the job's Chrome

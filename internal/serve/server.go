@@ -205,19 +205,19 @@ func (s *Server) runJob(rec *job) {
 	rec.finish(b, time.Now())
 }
 
-// verifyDigest is the DigestVerify rerun: the same job as a serial
-// reference (Shards=1, no hooks), its digest stream compared against the
-// primary run's. A mismatch names the first divergent cycle and
-// subsystem on the status API and /metrics — the daemon catching a
-// broken bit-identity contract in production rather than in CI. A failed
-// rerun leaves the job unverified (the primary results stand).
+// verifyDigest is the DigestVerify rerun: the same job without the
+// primary run's hooks (progress, counters, sample rows, profiler), so it
+// runs unprofiled and in two long Run calls instead of chunks. Its digest
+// stream is compared against the primary run's; a mismatch names the
+// first divergent cycle and subsystem on the status API and /metrics —
+// the daemon catching an observer that perturbed the simulation in
+// production rather than in CI. A failed rerun leaves the job
+// unverified (the primary results stand).
 func (s *Server) verifyDigest(rec *job, primary *digest.Report) {
 	if !rec.verify {
 		return
 	}
-	ref := rec.run
-	ref.Shards = 1
-	refRes := runner.Run([]runner.Job{ref}, 1)[0]
+	refRes := runner.Run([]runner.Job{rec.run}, 1)[0]
 	if refRes.Err != nil || refRes.Results.Digests == nil {
 		return
 	}
@@ -235,7 +235,11 @@ func (s *Server) verifyDigest(rec *job, primary *digest.Report) {
 // "hit", "coalesced", or "miss".
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	// A misspelled or retired field must fail loudly, not fall back to
+	// its default and run a different job than the client asked for.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
 		return
 	}

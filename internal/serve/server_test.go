@@ -461,8 +461,8 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed JSON, unknown scheme, unknown benchmark,
-// unknown job id.
+// TestBadRequests: malformed JSON, unknown scheme, unknown request
+// fields, unknown benchmark, unknown job id.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 
@@ -471,6 +471,18 @@ func TestBadRequests(t *testing.T) {
 	}
 	if resp, _ := post(t, ts.URL+"/jobs", `{"scheme":"nosuch"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown scheme = %d, want 400", resp.StatusCode)
+	}
+	// Unknown fields are rejected, not ignored: a misspelled window would
+	// otherwise queue the default 250k-cycle run, and a retired field
+	// would be dropped without the client learning it is gone.
+	for field, body := range map[string]string{
+		"measure_cyles": `{"scheme":"dnuca3d","measure_cyles":1000}`,
+		"shards":        `{"scheme":"dnuca3d","shards":2}`,
+	} {
+		if resp, out := post(t, ts.URL+"/jobs", body); resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(string(out), field) {
+			t.Errorf("unknown field %q = %d (%s), want 400 naming the field", field, resp.StatusCode, out)
+		}
 	}
 	// An unknown benchmark passes validation (the runner rejects it at
 	// execution), so the job fails rather than the submit.

@@ -123,9 +123,7 @@ type Engine struct {
 	classifyEv   func(kind uint8, closure bool) prof.Phase
 	classifyTick func(t Ticker) prof.Phase
 	// tickerPhase caches classifyTick per registered ticker, in
-	// registration order; prof.PhaseSelf marks tickers that time
-	// themselves into the recorder (the fabric, which splits its tick
-	// into serial vs sharded), so the engine takes no readings for them.
+	// registration order.
 	tickerPhase []prof.Phase
 }
 
@@ -153,11 +151,10 @@ func (e *Engine) Register(t Ticker) {
 
 // SetProfiler attaches a host-side phase profiler: every fired event is
 // classified by eventPhase (kind plus whether it is a legacy closure) and
-// every ticker by tickerPhase — returning prof.PhaseSelf for tickers that
-// record their own time (the fabric). Tickers registered later are
-// classified on registration. A nil recorder detaches, restoring the
-// zero-overhead step. Attribution never feeds back into simulation state,
-// so a profiled run is bit-identical to an unprofiled one.
+// every ticker by tickerPhase. Tickers registered later are classified on
+// registration. A nil recorder detaches, restoring the zero-overhead
+// step. Attribution never feeds back into simulation state, so a
+// profiled run is bit-identical to an unprofiled one.
 func (e *Engine) SetProfiler(r *prof.Recorder, eventPhase func(kind uint8, closure bool) prof.Phase, tickerPhase func(Ticker) prof.Phase) {
 	e.prof = r
 	e.tickerPhase = e.tickerPhase[:0]
@@ -292,9 +289,9 @@ func (e *Engine) Step() {
 // stepProfiled is Step with phase attribution — kept in lockstep with the
 // unprofiled body above (same ordering, same drained-flag discipline), plus
 // chained monotonic clock readings: each fired event's delta lands under
-// its classified phase, each ticker is timed around its Tick (except
-// self-timing ones), and everything unclaimed falls to the engine phase by
-// subtraction at report time.
+// its classified phase, each ticker is timed around its Tick, and
+// everything unclaimed falls to the engine phase by subtraction at report
+// time.
 func (e *Engine) stepProfiled() {
 	e.prof.StepDone()
 	e.migrate()
@@ -318,14 +315,9 @@ func (e *Engine) stepProfiled() {
 	e.buckets[slot] = e.buckets[slot][:0]
 	e.drained = true
 	for ti, t := range e.tickers {
-		ph := e.tickerPhase[ti]
-		if ph == prof.PhaseSelf {
-			t.Tick(e.cycle)
-			continue
-		}
 		t0 := time.Now()
 		t.Tick(e.cycle)
-		e.prof.Record(ph, time.Since(t0).Nanoseconds())
+		e.prof.Record(e.tickerPhase[ti], time.Since(t0).Nanoseconds())
 	}
 	e.drained = false
 	e.cycle++

@@ -23,8 +23,8 @@ func (h legacyHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h legacyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *legacyHeap) Push(x any)        { *h = append(*h, x.(*legacyEvent)) }
+func (h legacyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *legacyHeap) Push(x any)   { *h = append(*h, x.(*legacyEvent)) }
 func (h *legacyHeap) Pop() any {
 	old := *h
 	n := len(old) - 1
