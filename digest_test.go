@@ -12,8 +12,10 @@ import (
 // digest contract must coexist with — DTM (which subsumes the thermal
 // tracker) and the metrics sampler — optionally with the digest recorder
 // attached. 3D schemes use the stacked four-layer machine, whose pillar
-// buses carry the most cross-layer traffic.
-func digestRun(t testing.TB, scheme nim.Scheme, attach bool) nim.Results {
+// buses carry the most cross-layer traffic. A non-zero chunk attaches the
+// host profiler and cuts the measured window into Run calls of that many
+// cycles, the way the runner executes a job with a progress hook.
+func digestRun(t testing.TB, scheme nim.Scheme, attach bool, chunk uint64) nim.Results {
 	cfg := nim.DefaultConfig(scheme)
 	if cfg.Layers > 1 {
 		cfg.Layers = 4
@@ -24,6 +26,9 @@ func digestRun(t testing.TB, scheme nim.Scheme, attach bool) nim.Results {
 	sim, err := nim.NewSimulation(cfg, bench, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if chunk > 0 {
+		sim.AttachProfile()
 	}
 	sim.Warm()
 	sim.Start()
@@ -38,8 +43,51 @@ func digestRun(t testing.TB, scheme nim.Scheme, attach bool) nim.Results {
 		sim.AttachDigest(1_000)
 	}
 	sim.AttachSampler(1_000)
-	sim.Run(20_000)
+	const window = 20_000
+	if chunk == 0 {
+		chunk = window
+	}
+	for left := uint64(window); left > 0; left -= min(chunk, left) {
+		sim.Run(min(chunk, left))
+	}
 	return sim.Results()
+}
+
+// TestDigestShardInvariance compares digest streams of the same machine
+// executed two ways — every snapshot, every lane — for every scheme, with
+// DTM, thermal and the sampler attached. It was written against the
+// layer-sharded network path, since removed (DESIGN.md §15); what remains
+// to vary is how the serial engine is driven: one Run call for the whole
+// window, or uneven chunks with the host profiler attached. The streams
+// must be byte-identical, and any divergence shows up as the exact cycle
+// and subsystem that first differed.
+func TestDigestShardInvariance(t *testing.T) {
+	for _, scheme := range nim.Schemes() {
+		t.Run(scheme.String(), func(t *testing.T) {
+			whole := digestRun(t, scheme, true, 0)
+			if whole.Digests == nil || whole.Digests.Records == 0 {
+				t.Fatal("one-shot run produced no digest stream")
+			}
+			chunked := digestRun(t, scheme, true, 1_337)
+			if chunked.Digests == nil {
+				t.Fatal("chunked run produced no digest stream")
+			}
+			if chunked.Digests.Digest != whole.Digests.Digest {
+				t.Errorf("chunked final digest %s != one-shot %s",
+					chunked.Digests.Digest, whole.Digests.Digest)
+			}
+			a, b := whole.Digests.Stream, chunked.Digests.Stream
+			if len(a) != len(b) {
+				t.Fatalf("chunked stream has %d records, one-shot %d", len(b), len(a))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("chunked stream diverges at record %d (cycle %d):\none-shot %+v\nchunked  %+v",
+						i, a[i].Cycle, a[i], b[i])
+				}
+			}
+		})
+	}
 }
 
 // TestDigestDoesNotPerturb is the observer contract: attaching the
@@ -49,8 +97,8 @@ func digestRun(t testing.TB, scheme nim.Scheme, attach bool) nim.Results {
 func TestDigestDoesNotPerturb(t *testing.T) {
 	for _, scheme := range nim.Schemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			plain := digestRun(t, scheme, false)
-			observed := digestRun(t, scheme, true)
+			plain := digestRun(t, scheme, false, 0)
+			observed := digestRun(t, scheme, true, 0)
 			if observed.Digests == nil {
 				t.Fatal("attached run returned no Digests")
 			}
@@ -107,7 +155,7 @@ func TestDigestGolden(t *testing.T) {
 	t.Run("managed", func(t *testing.T) {
 		for _, scheme := range nim.Schemes() {
 			t.Run(scheme.String(), func(t *testing.T) {
-				if got, want := digestRun(t, scheme, true).Digests.Digest, managed[scheme]; got != want {
+				if got, want := digestRun(t, scheme, true, 0).Digests.Digest, managed[scheme]; got != want {
 					t.Errorf("final digest %s, want %s", got, want)
 				}
 			})

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/cache"
@@ -409,6 +411,101 @@ func TestDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("nondeterministic results:\n%+v\n%+v", a, b)
+	}
+}
+
+// managedRun builds the machine for one scheme, warms it, and measures a
+// window with thermal, DTM with every actuator enabled (trip lowered so
+// the controller engages inside the window) and a sampler whose odd
+// period makes samples straddle chunk edges. 3D schemes are stacked to
+// four layers, the hottest placement with the most pillar traffic. A
+// non-zero chunk cuts the window into Run calls of that many cycles; step
+// turns idle-cycle skipping off; profile attaches the host profiler.
+// Returns the Results, without the host-dependent Profile, and the
+// sampler's CSV time series.
+func managedRun(t *testing.T, scheme config.Scheme, chunk uint64, step, profile bool) ([]byte, []byte) {
+	t.Helper()
+	cfg := config.Default(scheme)
+	if scheme.Is3D() {
+		cfg.Layers = 4
+		cfg.StackCPUs = true
+	}
+	cfg.DTMPolicy = "all"
+	cfg.TripTempC = 70
+	prof, ok := trace.ProfileByName("mgrid", cfg.NumCPUs)
+	if !ok {
+		t.Fatal("profile missing")
+	}
+	s, err := NewSystem(cfg, prof, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Engine.SetIdleSkip(!step)
+	if profile {
+		s.AttachProfile()
+	}
+	s.Warm(11)
+	s.Start()
+	s.Run(5_000)
+	s.ResetStats()
+	if _, err := s.AttachDTM(1_000); err != nil {
+		t.Fatal(err)
+	}
+	sm := s.AttachSampler(777)
+	const window = 30_000
+	if chunk == 0 {
+		chunk = window
+	}
+	for left := uint64(window); left > 0; left -= min(chunk, left) {
+		s.Run(min(chunk, left))
+	}
+	res := s.Results()
+	res.Profile = nil
+	resJSON, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var series bytes.Buffer
+	if err := sm.Series().WriteCSV(&series); err != nil {
+		t.Fatal(err)
+	}
+	return resJSON, series.Bytes()
+}
+
+// TestShardedDeterminism keeps the determinism contract of the managed
+// machine — thermal, DTM and sampler attached — now that the network
+// runs on one serial path (the layer-sharded variant it was named for is
+// gone; DESIGN.md §15). The serial engine can still execute a window more
+// than one way: in one Run call or in uneven chunks with the profiler
+// attached, as the runner does for progress hooks, and with idle-cycle
+// skipping on or off. Every way must give byte-identical Results and
+// sampler time series, for every scheme.
+func TestShardedDeterminism(t *testing.T) {
+	schemes := []config.Scheme{
+		config.CMPDNUCA, config.CMPDNUCA2D, config.CMPSNUCA3D, config.CMPDNUCA3D,
+	}
+	for _, scheme := range schemes {
+		t.Run(scheme.String(), func(t *testing.T) {
+			wantRes, wantSeries := managedRun(t, scheme, 0, false, false)
+			for _, v := range []struct {
+				name          string
+				chunk         uint64
+				step, profile bool
+			}{
+				{"chunked+profiled", 1_337, false, true},
+				{"stepped", 0, true, false},
+			} {
+				res, series := managedRun(t, scheme, v.chunk, v.step, v.profile)
+				if !bytes.Equal(wantRes, res) {
+					t.Fatalf("%s run diverged from one-shot:\none-shot %s\n%-8s %s",
+						v.name, wantRes, v.name, res)
+				}
+				if !bytes.Equal(wantSeries, series) {
+					t.Fatalf("%s sampler series diverged from one-shot:\none-shot:\n%s\n%s:\n%s",
+						v.name, wantSeries, v.name, series)
+				}
+			}
+		})
 	}
 }
 
