@@ -471,37 +471,21 @@ func BenchmarkAblationTagPorts(b *testing.B) {
 // "enabled" case attaches a ring sink and shows the full-tracing price;
 // "spans" attaches the pooled transaction span recorder instead.
 func BenchmarkTracingOverhead(b *testing.B) {
-	run := func(b *testing.B, attach func(*nim.Simulation)) {
-		cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
-		bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-		sim, err := nim.NewSimulation(cfg, bench, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.Warm()
-		sim.Start()
-		if attach != nil {
-			attach(sim)
-		}
+	run := func(b *testing.B, in nim.Instruments, sink nim.TraceSink) {
+		sim := newSim(b, nim.DefaultConfig(nim.CMPDNUCA3D), 1, in)
+		sim.ResetStats() // attaches the window instruments
+		sim.AttachTracer(sink)
 		b.ResetTimer()
 		sim.Run(uint64(b.N))
 	}
-	b.Run("disabled", func(b *testing.B) { run(b, nil) })
-	b.Run("enabled", func(b *testing.B) {
-		run(b, func(s *nim.Simulation) { s.AttachTracer(nim.NewTraceRing(1 << 20)) })
-	})
-	b.Run("spans", func(b *testing.B) {
-		run(b, func(s *nim.Simulation) { s.AttachSpans() })
-	})
-	b.Run("thermal", func(b *testing.B) {
-		run(b, func(s *nim.Simulation) { s.AttachThermal(1_000) })
-	})
+	b.Run("disabled", func(b *testing.B) { run(b, nim.Instruments{}, nil) })
+	b.Run("enabled", func(b *testing.B) { run(b, nim.Instruments{}, nim.NewTraceRing(1<<20)) })
+	b.Run("spans", func(b *testing.B) { run(b, nim.Instruments{RecordSpans: true}, nil) })
+	b.Run("thermal", func(b *testing.B) { run(b, nim.Instruments{ThermalInterval: 1_000}, nil) })
 	// The host profiler's full price: one clock read per event plus two
 	// per ticker. The disabled case above doubles as its zero-cost gate —
-	// an unattached run's only new work is a nil check in Engine.Step.
-	b.Run("profile", func(b *testing.B) {
-		run(b, func(s *nim.Simulation) { s.AttachProfile() })
-	})
+	// an unattached run's only extra work is the nil checks in Engine.Step.
+	b.Run("profile", func(b *testing.B) { run(b, nim.Instruments{Profile: true}, nil) })
 }
 
 // BenchmarkSimulatorThroughput reports simulated cycles per wall-clock
@@ -516,13 +500,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			cfg.Layers = 4
 			cfg.StackCPUs = true
 		}
-		bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-		sim, err := nim.NewSimulation(cfg, bench, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.Warm()
-		sim.Start()
+		sim := newSim(b, cfg, 1, nim.Instruments{})
 		b.ResetTimer()
 		sim.Run(uint64(b.N))
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
@@ -548,31 +526,19 @@ func BenchmarkThermalSolver(b *testing.B) {
 // stacked (hottest) machine. The "detached" case is the default
 // configuration — no controller, every actuator hook a nil check — and
 // must stay within the simulator-throughput regression gate. "disabled"
-// attaches a controller with no policy bits (the loop's fixed cost:
-// hysteresis scan per thermal step); "all" enables every actuator, whose
-// price includes the work the policies cause (stall events, diverted
-// packets), not just the hook overhead.
+// arms every actuator with a trip point no cell reaches (the loop's fixed
+// cost: the thermal step, its hysteresis scan, and the hooks); "all"
+// trips at the default point, so its price includes the work the policies
+// cause (stall events, diverted packets), not just the hook overhead.
 func BenchmarkDTMOverhead(b *testing.B) {
-	run := func(b *testing.B, policy string, attach bool) {
-		cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
-		cfg.StackCPUs = true
-		cfg.DTMPolicy = policy
-		bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-		sim, err := nim.NewSimulation(cfg, bench, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.Warm()
-		sim.Start()
-		if attach {
-			if _, err := sim.AttachDTM(1_000); err != nil {
-				b.Fatal(err)
-			}
-		}
+	run := func(b *testing.B, policy string, tripC float64, in nim.Instruments) {
+		sim := newSim(b, stackedConfig(policy, tripC), 1, in)
+		sim.ResetStats() // attaches the thermal loop
 		b.ResetTimer()
 		sim.Run(uint64(b.N))
 	}
-	b.Run("detached", func(b *testing.B) { run(b, "", false) })
-	b.Run("disabled", func(b *testing.B) { run(b, "none", true) })
-	b.Run("all", func(b *testing.B) { run(b, "all", true) })
+	thermal := nim.Instruments{ThermalInterval: 1_000}
+	b.Run("detached", func(b *testing.B) { run(b, "", 0, nim.Instruments{}) })
+	b.Run("disabled", func(b *testing.B) { run(b, "all", 500, thermal) })
+	b.Run("all", func(b *testing.B) { run(b, "all", 0, thermal) })
 }

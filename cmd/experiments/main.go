@@ -783,7 +783,9 @@ func profileStudy(opt nim.Options) {
 			fatal(err)
 		}
 		s.Warm()
-		s.AttachProfile()
+		if err := s.Instrument(nim.Instruments{Profile: true}); err != nil {
+			fatal(err)
+		}
 		s.Start()
 		s.Run(opt.WarmCycles)
 		s.ResetStats()

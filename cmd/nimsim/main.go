@@ -56,7 +56,7 @@ func main() {
 		thermal  = flag.Bool("thermal", false, "attach the activity-driven power/thermal pipeline and print the transient report")
 		tmap     = flag.Bool("tmap", false, "print per-layer ASCII temperature maps (implies -thermal)")
 		tinter   = flag.Uint64("tinterval", 1_000, "thermal step period in cycles")
-		dtmPol   = flag.String("dtm", "", "dynamic thermal management policy: none, all, or a comma list of veto, drowsy, duty, reroute (implies -thermal)")
+		dtmPol   = flag.String("dtm", "", "dynamic thermal management policy: none (or off), all, or a comma list of veto, drowsy, duty, reroute (implies -thermal)")
 		trip     = flag.Float64("trip", 0, "DTM trip temperature in C (0 = the 85 C default)")
 		duty     = flag.String("duty", "", "DTM duty-cycle pattern N/M: a hot core issues on N of every M slots (default 1/4)")
 		profile  = flag.Bool("profile", false, "attach the host-side phase profiler and print the wall-clock attribution table (non-perturbing: results are bit-identical)")
@@ -93,6 +93,18 @@ func main() {
 		}()
 	}
 
+	// Zero periods would reach the observers' constructors, which panic;
+	// -digest 0 means off and -interval is only read with -metrics.
+	wantThermal := *thermal || *tmap || *dtmPol != ""
+	switch {
+	case *metrics != "" && *interval == 0:
+		fatalf("-interval must be >= 1")
+	case wantThermal && *tinter == 0:
+		fatalf("-tinterval must be >= 1")
+	case (*traceOut != "" || *spansOut != "") && *traceBuf < 1:
+		fatalf("-tracebuf must be >= 1")
+	}
+
 	opts := machineOpts{
 		scheme: *scheme, bench: *bench, seed: *seed,
 		layers: *layers, pillars: *pillars, l2mb: *l2mb, stack: *stack,
@@ -113,26 +125,29 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// The span recorder attaches before the settle window so transactions
-	// in flight across the stats reset carry ledgers; ResetStats resets its
-	// aggregates, making the breakdown cover exactly the measured means.
-	var spans *nim.SpanRecorder
-	if *spansOut != "" || *brkdown {
-		spans = sim.AttachSpans()
+	// One instrumentation spec from the flags. Spans and the profiler
+	// attach now, so spans ride the transactions in flight across the
+	// stats reset and the profile covers every cycle simulated from here
+	// on; the window instruments attach at ResetStats, so they cover
+	// exactly the measured cycles. None of them perturbs the results.
+	in := nim.Instruments{
+		DigestInterval: *digestIv,
+		RecordSpans:    *spansOut != "" || *brkdown,
+		Profile:        *profile || *profOut != "",
 	}
-	// The host profiler attaches before the settle window so its loop-time
-	// attribution covers every cycle the process simulates from here on.
-	// It observes the simulator, not the simulated chip, so it perturbs
-	// nothing — results stay bit-identical.
-	var profRec *nim.ProfileRecorder
-	if *profile || *profOut != "" {
-		profRec = sim.AttachProfile()
+	if *metrics != "" {
+		in.SampleInterval = *interval
+	}
+	if wantThermal {
+		in.ThermalInterval = *tinter
+	}
+	if err := sim.Instrument(in); err != nil {
+		fatalf("%v", err)
 	}
 	sim.Start()
 	sim.Run(*warm)
 	sim.ResetStats()
-	// Event observability attaches after the settle window, so the trace
-	// and the metrics series cover exactly the measured cycles.
+	// The event trace attaches after the settle window too.
 	var ring *nim.TraceRing
 	if *traceOut != "" {
 		ring = nim.NewTraceRing(*traceBuf)
@@ -141,32 +156,7 @@ func main() {
 	var spanRing *nim.TraceRing
 	if *spansOut != "" {
 		spanRing = nim.NewTraceRing(*traceBuf)
-		spans.SetSink(spanRing)
-	}
-	// Thermal before the sampler, so each sampler row reads the freshly
-	// stepped temperatures and the window power just flushed.
-	var tracker *nim.ThermalTracker
-	var dtmCtl *nim.DTMController
-	if cfg.DTMActive() {
-		// AttachDTM subsumes the thermal attach: the controller rides the
-		// same tracker tick, adjusting the power window and reading the
-		// freshly stepped grid.
-		if dtmCtl, err = sim.AttachDTM(*tinter); err != nil {
-			fatalf("%v", err)
-		}
-	} else if *thermal || *tmap || *dtmPol != "" {
-		tracker = sim.AttachThermal(*tinter)
-	}
-	// The digest recorder attaches before the sampler so the sampler's
-	// digest columns read each interval's freshly folded chains. Like the
-	// profiler it observes without perturbing: results stay bit-identical.
-	var digestRec *nim.DigestRecorder
-	if *digestIv > 0 {
-		digestRec = sim.AttachDigest(*digestIv)
-	}
-	var sampler *nim.MetricsSampler
-	if *metrics != "" {
-		sampler = sim.AttachSampler(*interval)
+		sim.Spans().SetSink(spanRing)
 	}
 	sim.Run(*measure)
 	r := sim.Results()
@@ -181,7 +171,7 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
-	if sampler != nil {
+	if sampler := sim.Sampler(); sampler != nil {
 		ts := sampler.Series()
 		if ring != nil {
 			// Parity with the Chrome-trace export: mark the series when the
@@ -253,7 +243,7 @@ func main() {
 	fmt.Printf("  migration      %12.1f nJ\n", e.MigrationPJ/1000)
 	fmt.Printf("  total          %12.1f nJ\n", e.TotalPJ()/1000)
 
-	if (tracker != nil || dtmCtl != nil) && r.Thermal != nil {
+	if r.Thermal != nil {
 		t := r.Thermal
 		fmt.Printf("\ntransient thermal (%d steps of %d cycles)\n", t.Steps, t.IntervalCycles)
 		fmt.Printf("  peak           %12.2f C at (%d,%d,L%d), cycle %d\n",
@@ -268,7 +258,7 @@ func main() {
 			t.AvgPowerW, t.Energy.TotalPJ/1000, t.Energy.NetworkPJ/1000, t.Energy.BusPJ/1000,
 			t.Energy.TagsPJ/1000, t.Energy.BanksPJ/1000, t.Energy.MigrationPJ/1000, t.Energy.CPUPJ/1000)
 	}
-	if dtmCtl != nil && r.DTM != nil {
+	if r.DTM != nil {
 		d := r.DTM
 		fmt.Printf("\ndynamic thermal management (policy %s, trip %.1f C, release %.1f C)\n",
 			d.Policy, d.TripC, d.ReleaseC)
@@ -281,7 +271,7 @@ func main() {
 		fmt.Printf("  duty stalls    %12d (pattern %d/%d)\n", d.ThrottleStalls, d.DutyOn, d.DutyPeriod)
 		fmt.Printf("  pillar divert  %12d\n", d.PillarDiversions)
 	}
-	if *tmap && (tracker != nil || dtmCtl != nil) {
+	if *tmap {
 		fmt.Println()
 		if err := sim.WriteThermalMap(os.Stdout); err != nil {
 			fatalf("%v", err)
@@ -295,12 +285,12 @@ func main() {
 		}
 	}
 
-	if profRec != nil && r.Profile != nil {
+	if r.Profile != nil {
 		fmt.Println()
 		r.Profile.WriteTable(os.Stdout)
 	}
 
-	if digestRec != nil && r.Digests != nil {
+	if r.Digests != nil {
 		d := r.Digests
 		fmt.Printf("\nstate digest (every %d cycles, %d records)\n", d.Interval, d.Records)
 		fmt.Printf("  run            %s\n", d.Digest)
@@ -318,8 +308,8 @@ func main() {
 		sim.WriteBusReport(os.Stdout)
 	}
 
-	if *profOut != "" && profRec != nil {
-		if err := writeHostTimeline(*profOut, profRec); err != nil {
+	if *profOut != "" {
+		if err := writeHostTimeline(*profOut, sim.Profiler()); err != nil {
 			fatalf("%v", err)
 		}
 	}

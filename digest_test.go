@@ -1,56 +1,28 @@
 package nim_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	nim "repro"
 )
 
-// digestRun executes one short run with the full observability stack the
-// digest contract must coexist with — DTM (which subsumes the thermal
-// tracker) and the metrics sampler — optionally with the digest recorder
-// attached. 3D schemes use the stacked four-layer machine, whose pillar
-// buses carry the most cross-layer traffic. A non-zero chunk attaches the
-// host profiler and cuts the measured window into Run calls of that many
-// cycles, the way the runner executes a job with a progress hook.
-func digestRun(t testing.TB, scheme nim.Scheme, attach bool, chunk uint64) nim.Results {
+// managedRun is the full observability stack the digest contract must
+// coexist with — DTM (which rides the thermal tracker) and the metrics
+// sampler — optionally with the digest recorder attached. 3D schemes use
+// the stacked four-layer machine, whose pillar buses carry the most
+// cross-layer traffic. A non-zero chunk also attaches the host profiler.
+func managedRun(scheme nim.Scheme, digests bool, chunk uint64) instrumentedRun {
 	cfg := nim.DefaultConfig(scheme)
 	if cfg.Layers > 1 {
 		cfg.Layers = 4
 		cfg.StackCPUs = true
 	}
 	cfg.DTMPolicy = "all"
-	bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-	sim, err := nim.NewSimulation(cfg, bench, 3)
-	if err != nil {
-		t.Fatal(err)
+	in := nim.Instruments{ThermalInterval: 500, SampleInterval: 1_000, Profile: chunk > 0}
+	if digests {
+		in.DigestInterval = 1_000
 	}
-	if chunk > 0 {
-		sim.AttachProfile()
-	}
-	sim.Warm()
-	sim.Start()
-	sim.Run(5_000)
-	sim.ResetStats()
-	if _, err := sim.AttachDTM(500); err != nil {
-		t.Fatal(err)
-	}
-	// Digest before the sampler, mirroring the runner: the sampler's
-	// digest columns read the freshly folded chains.
-	if attach {
-		sim.AttachDigest(1_000)
-	}
-	sim.AttachSampler(1_000)
-	const window = 20_000
-	if chunk == 0 {
-		chunk = window
-	}
-	for left := uint64(window); left > 0; left -= min(chunk, left) {
-		sim.Run(min(chunk, left))
-	}
-	return sim.Results()
+	return instrumentedRun{cfg: cfg, in: in, chunk: chunk}
 }
 
 // TestDigestShardInvariance compares digest streams of the same machine
@@ -64,11 +36,11 @@ func digestRun(t testing.TB, scheme nim.Scheme, attach bool, chunk uint64) nim.R
 func TestDigestShardInvariance(t *testing.T) {
 	for _, scheme := range nim.Schemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			whole := digestRun(t, scheme, true, 0)
+			whole := managedRun(scheme, true, 0).results(t)
 			if whole.Digests == nil || whole.Digests.Records == 0 {
 				t.Fatal("one-shot run produced no digest stream")
 			}
-			chunked := digestRun(t, scheme, true, 1_337)
+			chunked := managedRun(scheme, true, 1_337).results(t)
 			if chunked.Digests == nil {
 				t.Fatal("chunked run produced no digest stream")
 			}
@@ -90,23 +62,13 @@ func TestDigestShardInvariance(t *testing.T) {
 	}
 }
 
-// TestDigestDoesNotPerturb is the observer contract: attaching the
-// digest recorder changes no architectural result. Results are
-// bit-identical with the Digests report stripped — the same bar the
-// profiler meets (TestProfileDoesNotPerturb).
+// TestDigestDoesNotPerturb is the observer contract for the digest
+// recorder, the same bar the profiler meets (TestProfileDoesNotPerturb).
 func TestDigestDoesNotPerturb(t *testing.T) {
 	for _, scheme := range nim.Schemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			plain := digestRun(t, scheme, false, 0)
-			observed := digestRun(t, scheme, true, 0)
-			if observed.Digests == nil {
+			if checkNoPerturb(t, managedRun(scheme, false, 0), managedRun(scheme, true, 0)).Digests == nil {
 				t.Fatal("attached run returned no Digests")
-			}
-			observed.Digests = nil
-			pj, _ := json.Marshal(plain)
-			oj, _ := json.Marshal(observed)
-			if !bytes.Equal(pj, oj) {
-				t.Fatalf("digest attachment changed results:\nplain    %s\nobserved %s", pj, oj)
 			}
 		})
 	}
@@ -127,22 +89,17 @@ func TestDigestGolden(t *testing.T) {
 	}
 	for _, scheme := range nim.Schemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			cfg := nim.DefaultConfig(scheme)
-			bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-			sim, err := nim.NewSimulation(cfg, bench, 1)
-			if err != nil {
+			sim := newSim(t, nim.DefaultConfig(scheme), 1, nim.Instruments{})
+			if err := sim.Instrument(nim.Instruments{DigestInterval: 1_000}); err != nil {
 				t.Fatal(err)
 			}
-			sim.Warm()
-			sim.Start()
-			sim.AttachDigest(1_000)
 			sim.Run(20_000)
 			if got, want := sim.Results().Digests.Digest, golden[scheme]; got != want {
 				t.Errorf("final digest %s, want %s", got, want)
 			}
 		})
 	}
-	// managed pins digestRun's machine: 3D schemes stacked to four layers
+	// managed pins managedRun's machine: 3D schemes stacked to four layers
 	// with the DTM loop, thermal tracker and sampler attached. It covers
 	// the closed-loop actuators and the cross-layer pillar traffic the
 	// rows above do not.
@@ -155,7 +112,7 @@ func TestDigestGolden(t *testing.T) {
 	t.Run("managed", func(t *testing.T) {
 		for _, scheme := range nim.Schemes() {
 			t.Run(scheme.String(), func(t *testing.T) {
-				if got, want := digestRun(t, scheme, true, 0).Digests.Digest, managed[scheme]; got != want {
+				if got, want := managedRun(scheme, true, 0).results(t).Digests.Digest, managed[scheme]; got != want {
 					t.Errorf("final digest %s, want %s", got, want)
 				}
 			})
@@ -165,26 +122,14 @@ func TestDigestGolden(t *testing.T) {
 
 // TestDigestRecordPathAllocs pins the record path at zero allocations
 // once the stream is reserved: folding every subsystem of a live
-// full-stack machine (DTM, thermal, sampler attached) heap-allocates
-// nothing per snapshot.
+// managed machine (DTM and thermal attached) heap-allocates nothing per
+// snapshot.
 func TestDigestRecordPathAllocs(t *testing.T) {
-	cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
-	cfg.Layers = 4
-	cfg.StackCPUs = true
-	cfg.DTMPolicy = "all"
-	bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-	sim, err := nim.NewSimulation(cfg, bench, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Warm()
-	sim.Start()
+	cfg := managedRun(nim.CMPDNUCA3D, false, 0).cfg
+	sim := newSim(t, cfg, 3, nim.Instruments{ThermalInterval: 500, DigestInterval: 1})
 	sim.Run(2_000)
 	sim.ResetStats()
-	if _, err := sim.AttachDTM(500); err != nil {
-		t.Fatal(err)
-	}
-	rec := sim.AttachDigest(1)
+	rec := sim.DigestRecorder()
 	sim.Run(2_000) // populate in-flight state for the walker to fold
 	const rounds = 200
 	rec.Reserve(len(rec.Records()) + rounds + 10)

@@ -1,5 +1,5 @@
 // End-to-end tests of the dynamic thermal management loop: the
-// determinism contract (an attached but disabled controller perturbs
+// determinism contract (an armed controller that never trips perturbs
 // nothing), per-policy actuator engagement on a hot stacked machine, and
 // run-to-run reproducibility of the management report.
 package nim_test
@@ -12,64 +12,38 @@ import (
 	nim "repro"
 )
 
-// dtmRun builds, warms, and settles the vertically stacked DNUCA-3D
-// machine (the hottest Table 3 placement) and measures a short window
-// with the given DTM policy and trip point. An empty policy leaves DTM
-// detached; "none" attaches a controller with every actuator disabled.
-func dtmRun(t *testing.T, policy string, tripC float64, attachNone bool) nim.Results {
-	t.Helper()
+// stackedConfig is the vertically stacked DNUCA-3D machine, the hottest
+// Table 3 placement, managed by the given DTM policy and trip point.
+func stackedConfig(policy string, tripC float64) nim.Config {
 	cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
 	cfg.StackCPUs = true
 	cfg.DTMPolicy = policy
 	cfg.TripTempC = tripC
-	bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-	sim, err := nim.NewSimulation(cfg, bench, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Warm()
-	sim.Start()
+	return cfg
+}
+
+// dtmRun builds, warms, and settles the stacked machine and measures a
+// short window with the thermal loop attached; an empty policy leaves it
+// unmanaged.
+func dtmRun(t *testing.T, policy string, tripC float64) nim.Results {
+	t.Helper()
+	sim := newSim(t, stackedConfig(policy, tripC), 3, nim.Instruments{ThermalInterval: 1_000})
 	sim.Run(5_000)
 	sim.ResetStats()
-	switch {
-	case policy != "" && policy != "none":
-		if _, err := sim.AttachDTM(1_000); err != nil {
-			t.Fatal(err)
-		}
-	case attachNone:
-		if _, err := sim.AttachDTM(1_000); err != nil {
-			t.Fatal(err)
-		}
-	default:
-		sim.AttachThermal(1_000)
-	}
 	sim.Run(30_000)
 	return sim.Results()
 }
 
 // TestDTMDoesNotPerturbWhenDisabled is the determinism contract: a run
-// with a DTM controller attached but no policy bits enabled is
-// bit-identical to a thermal-only run, which is itself bit-identical to
-// an unobserved run (TestThermalDoesNotPerturb). The reports themselves
-// are the only allowed difference.
+// whose controller arms every actuator but whose trip point no cell
+// reaches never engages, and is bit-identical to a thermal-only run —
+// reroute's pillar-penalty hook included.
 func TestDTMDoesNotPerturbWhenDisabled(t *testing.T) {
-	thermalOnly := dtmRun(t, "", 0, false)
-	disabled := dtmRun(t, "none", 0, true)
-	if disabled.DTM == nil {
-		t.Fatal("AttachDTM with policy \"none\" produced no DTM report")
-	}
-	if got := disabled.DTM.Policy; got != "none" {
-		t.Fatalf("disabled controller reports policy %q, want \"none\"", got)
-	}
-	if disabled.DTM.MigrationVetoes+disabled.DTM.BankWakeups+
-		disabled.DTM.ThrottleStalls+disabled.DTM.PillarDiversions != 0 {
-		t.Fatalf("disabled controller actuated: %+v", disabled.DTM)
-	}
-	disabled.DTM = nil
-	a, _ := json.Marshal(thermalOnly)
-	b, _ := json.Marshal(disabled)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("disabled DTM changed results:\nthermal-only %s\ndisabled     %s", a, b)
+	in := nim.Instruments{ThermalInterval: 1_000}
+	thermalOnly := instrumentedRun{cfg: stackedConfig("", 0), in: in}
+	d := checkNoPerturb(t, thermalOnly, instrumentedRun{cfg: stackedConfig("all", 500), in: in}).DTM
+	if d == nil || d.Policy != "all" || d.TripEngagements != 0 {
+		t.Fatalf("armed controller report %+v, want policy all and no trip engagements", d)
 	}
 }
 
@@ -89,7 +63,7 @@ func TestDTMPolicyEngagement(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.policy, func(t *testing.T) {
-			r := dtmRun(t, c.policy, trip, false)
+			r := dtmRun(t, c.policy, trip)
 			d := r.DTM
 			if d == nil {
 				t.Fatal("no DTM report")
@@ -117,8 +91,8 @@ func TestDTMPolicyEngagement(t *testing.T) {
 // tripped core sheds its 8 W budget, so the managed stacked run peaks
 // measurably below the unmanaged one.
 func TestDTMDutyCycleCutsPeak(t *testing.T) {
-	off := dtmRun(t, "", 0, false)
-	duty := dtmRun(t, "duty", 0, false)
+	off := dtmRun(t, "", 0)
+	duty := dtmRun(t, "duty", 0)
 	if off.Thermal == nil || duty.Thermal == nil {
 		t.Fatal("missing thermal reports")
 	}
@@ -131,8 +105,8 @@ func TestDTMDutyCycleCutsPeak(t *testing.T) {
 // TestDTMDeterministic checks the management loop's reproducibility: two
 // identical managed runs produce identical results and reports.
 func TestDTMDeterministic(t *testing.T) {
-	a, _ := json.Marshal(dtmRun(t, "all", 70, false))
-	b, _ := json.Marshal(dtmRun(t, "all", 70, false))
+	a, _ := json.Marshal(dtmRun(t, "all", 70))
+	b, _ := json.Marshal(dtmRun(t, "all", 70))
 	if !bytes.Equal(a, b) {
 		t.Fatalf("managed runs diverged:\nfirst  %s\nsecond %s", a, b)
 	}

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cache"
 )
@@ -115,11 +116,11 @@ type Config struct {
 	MemControllers int
 
 	// DTMPolicy selects the runtime dynamic-thermal-management actuators
-	// (internal/dtm): "" or "none" disables DTM entirely (the default —
-	// zero-valued configs are unmanaged), "all" enables everything, and a
-	// comma list picks a subset of veto, drowsy, duty, reroute. The
-	// string is parsed by dtm.ParsePolicy when the controller attaches;
-	// an unknown name fails the attach, not Validate (config cannot
+	// (internal/dtm): "", "none" or "off" (see DTMOff) disables DTM
+	// entirely (the default — zero-valued configs are unmanaged), "all"
+	// enables everything, and a comma list picks a subset of veto,
+	// drowsy, duty, reroute. The string is parsed by dtm.ParsePolicy; an
+	// unknown name fails core.CheckDTM, not Validate (config cannot
 	// import dtm: dtm reads the thermal model, which reads this package).
 	DTMPolicy string
 	// TripTempC is the DTM trip temperature in C; 0 selects the
@@ -130,10 +131,20 @@ type Config struct {
 	DutyCycle string
 }
 
-// DTMActive reports whether the config names any DTM policy, i.e.
-// whether a runner should attach the dtm.Controller for this machine.
-func (c Config) DTMActive() bool {
-	return c.DTMPolicy != "" && c.DTMPolicy != "none"
+// DTMActive reports whether the config names any DTM actuator, i.e.
+// whether instrumenting the machine's thermal loop also attaches the
+// dtm.Controller.
+func (c Config) DTMActive() bool { return !DTMOff(c.DTMPolicy) }
+
+// DTMOff reports whether a DTM policy string names no actuator: empty,
+// or "none" or "off" in any case and with surrounding spaces.
+// dtm.ParsePolicy uses it too, so the two never disagree.
+func DTMOff(policy string) bool {
+	switch strings.ToLower(strings.TrimSpace(policy)) {
+	case "", "none", "off":
+		return true
+	}
+	return false
 }
 
 // Default returns the paper's Table 4 configuration for the given scheme.

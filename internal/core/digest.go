@@ -14,26 +14,18 @@ import (
 // counters anyway.
 type digestFolder interface{ DigestFold(*digest.Recorder) }
 
-// AttachDigest registers a periodic state-digest recorder with the
+// attachDigest registers a periodic state-digest recorder with the
 // engine: every interval cycles it folds every stateful subsystem into
 // per-subsystem hash chains and appends one cumulative snapshot (see
-// package digest). Attach right after ResetStats so the stream covers
-// exactly the measurement window, and before AttachSampler if the
-// sampler should carry the digest columns. Results gains the Digests
-// report. Idempotent: subsequent calls return the same recorder.
+// package digest). Results gains the Digests report.
 //
 // The recorder is a pure observer — the walker reads simulator state
 // and writes only recorder-owned arrays — so an attached run is
 // bit-identical to a detached one (TestDigestDoesNotPerturb).
-func (s *System) AttachDigest(interval uint64) *digest.Recorder {
-	if s.digestRec != nil {
-		return s.digestRec
-	}
-	rec := digest.NewRecorder(interval)
-	rec.SetWalker(s.digestWalk)
-	s.digestRec = rec
-	s.Engine.Register(rec)
-	return rec
+func (s *System) attachDigest(interval uint64) {
+	s.digestRec = digest.NewRecorder(interval)
+	s.digestRec.SetWalker(s.digestWalk)
+	s.Engine.Register(s.digestRec)
 }
 
 // digestWalk folds the whole machine, one lane per subsystem, in lane

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
+	"repro/internal/config"
 	"repro/internal/digest"
 	"repro/internal/dtm"
 	"repro/internal/fabric"
@@ -15,18 +17,123 @@ import (
 	"repro/internal/thermal"
 )
 
-// AttachProbe attaches the observability probe to every instrumented
-// layer: the protocol engine (migration, MSI coherence, and cache SRAM
-// events), the fabric (packet inject/eject), every router (per-hop
-// routing, VC stalls), and every pillar bus (dTDMA arbitration). A nil
-// probe detaches all of them, restoring the zero-overhead path.
-//
-// AttachProbe is the low-level hook: it installs exactly the given probe.
-// AttachTracer and AttachThermal compose on top of it — prefer those.
-func (s *System) AttachProbe(p *obs.Probe) {
-	s.obsProbe = p
-	s.Fab.SetProbe(p)
+// Instruments is the one instrumentation spec: which observers a run
+// attaches, as plain values. The zero value attaches nothing and costs
+// nothing. runner.Job and the daemon's job request and cache identity
+// embed it, so its JSON names are the wire names. Profile measures the
+// host, not the chip, so it has no wire name and never splits a cache
+// entry. Every observer is non-perturbing: Results, stripped of the
+// reports the observers add, are bit-identical with any of them attached.
+type Instruments struct {
+	// SampleInterval attaches the interval metrics sampler, one row every
+	// SampleInterval cycles (see attachSampler for the columns).
+	SampleInterval uint64 `json:"sample_interval,omitempty"`
+	// ThermalInterval attaches the activity-driven power/thermal
+	// pipeline, one transient RC step every ThermalInterval cycles;
+	// Results gains Thermal. On a managed machine (Cfg.DTMActive) the DTM
+	// controller rides the same tracker and Results gains DTM as well.
+	ThermalInterval uint64 `json:"thermal_interval,omitempty"`
+	// DigestInterval attaches the state-digest recorder, one snapshot
+	// every DigestInterval cycles; Results gains Digests.
+	DigestInterval uint64 `json:"digest_interval,omitempty"`
+	// RecordSpans attaches the transaction span recorder; Results gains
+	// the latency Breakdown.
+	RecordSpans bool `json:"record_spans,omitempty"`
+	// Profile attaches the host-side phase profiler; Results gains
+	// Profile.
+	Profile bool `json:"-"`
 }
+
+// Instrument attaches the observers that in requests. It is the one
+// place that decides when each observer attaches and in what order.
+//
+// Spans and the profiler attach at once. Spans must ride the
+// transactions still in flight at ResetStats, so request them before the
+// settle run; the profiler attributes host time from attachment on.
+//
+// The window instruments attach in a fixed order, because tickers run in
+// registration order and the later ones read the earlier ones: thermal
+// (with the DTM controller on a managed machine), then digests, whose
+// walker folds the thermal grid, then the sampler, which carries the
+// thermal and digest columns. Requested before Start they attach at the
+// next ResetStats, so they cover exactly the measurement window;
+// requested after Start they attach at once. An observer already
+// attached stays as it is.
+//
+// Instrument attaches nothing and returns an error when the request
+// cannot be honoured: a managed machine with no thermal interval
+// requested or attached (DTM rides the thermal loop), DTM strings that
+// do not parse (CheckDTM), or thermal or digests requested once a
+// sampler is attached or pending, which would lose the sampler's
+// columns.
+func (s *System) Instrument(in Instruments) error {
+	if s.Cfg.DTMActive() && in.ThermalInterval == 0 && s.thermalT == nil && s.pending.ThermalInterval == 0 {
+		return fmt.Errorf("core: DTMPolicy %q needs a thermal interval (DTM rides the thermal loop)", s.Cfg.DTMPolicy)
+	}
+	if err := CheckDTM(s.Cfg); err != nil {
+		return err
+	}
+	if (in.ThermalInterval > 0 || in.DigestInterval > 0) && (s.sampler != nil || s.pending.SampleInterval > 0) {
+		return fmt.Errorf("core: thermal and digest instruments must be requested before the sampler, which carries their columns")
+	}
+	if in.RecordSpans && s.spans == nil {
+		s.spans = obs.NewSpanRecorder()
+	}
+	if in.Profile {
+		s.AttachProfile()
+	}
+	if s.started {
+		s.attachWindow(in)
+		return nil
+	}
+	p := &s.pending
+	p.ThermalInterval = cmp.Or(in.ThermalInterval, p.ThermalInterval)
+	p.DigestInterval = cmp.Or(in.DigestInterval, p.DigestInterval)
+	p.SampleInterval = cmp.Or(in.SampleInterval, p.SampleInterval)
+	return nil
+}
+
+// attachWindow attaches the requested window instruments in their fixed
+// order (see Instrument, which has checked the request).
+func (s *System) attachWindow(in Instruments) {
+	if in.ThermalInterval > 0 && s.thermalT == nil {
+		s.attachThermal(in.ThermalInterval)
+	}
+	if in.DigestInterval > 0 && s.digestRec == nil {
+		s.attachDigest(in.DigestInterval)
+	}
+	if in.SampleInterval > 0 && s.sampler == nil {
+		s.attachSampler(in.SampleInterval)
+	}
+}
+
+// CheckDTM reports whether a managed config's DTM strings parse: the
+// policy (dtm.ParsePolicy) and the duty cycle (dtm.ParseDuty). An
+// unmanaged config passes, since nothing reads them. Instrument runs it
+// before attaching anything, so ResetStats never fails, and the daemon
+// runs it at submission, so a bad job is refused instead of queued.
+func CheckDTM(cfg config.Config) error {
+	if !cfg.DTMActive() {
+		return nil
+	}
+	if _, err := dtm.ParsePolicy(cfg.DTMPolicy); err != nil {
+		return err
+	}
+	_, _, err := dtm.ParseDuty(cfg.DutyCycle)
+	return err
+}
+
+// Sampler returns the attached metrics sampler, or nil.
+func (s *System) Sampler() *obs.Sampler { return s.sampler }
+
+// Spans returns the attached span recorder, or nil.
+func (s *System) Spans() *obs.SpanRecorder { return s.spans }
+
+// Profiler returns the attached host-side phase profiler, or nil.
+func (s *System) Profiler() *prof.Recorder { return s.hostProf }
+
+// DigestRecorder returns the attached state-digest recorder, or nil.
+func (s *System) DigestRecorder() *digest.Recorder { return s.digestRec }
 
 // AttachTracer routes probe events into the given sink (nil detaches the
 // tracer). It composes with an attached thermal pipeline: with both
@@ -36,17 +143,13 @@ func (s *System) AttachTracer(sink obs.Sink) {
 	s.refreshProbe()
 }
 
-// AttachThermal attaches the activity→power→temperature pipeline: an
+// attachThermal attaches the activity→power→temperature pipeline: an
 // energy accountant (Table-1-calibrated per-event charging, fed by the
 // same probe events the tracer sees) and a transient RC thermal grid
 // stepped every interval cycles, with each core's instruction delta
-// charged at its cell. Results gains the run-level Thermal report.
-//
-// Attach at the start of the window to track (typically right after
-// ResetStats), and before AttachSampler if the sampler should carry the
-// thermal columns — the tracker must tick (and so flush its window)
-// before the sampler reads the window's values.
-func (s *System) AttachThermal(interval uint64) *obs.ThermalTracker {
+// charged at its cell. On a managed machine it then closes the loop
+// (attachDTM).
+func (s *System) attachThermal(interval uint64) {
 	tt := obs.NewThermalTracker(s.Top.Dim, thermal.DefaultParams(), power.TelemetryModel(), interval)
 	for _, c := range s.CPUs {
 		c := c
@@ -55,35 +158,21 @@ func (s *System) AttachThermal(interval uint64) *obs.ThermalTracker {
 	s.thermalT = tt
 	s.refreshProbe()
 	s.Engine.Register(tt)
-	return tt
+	if s.Cfg.DTMActive() {
+		s.attachDTM()
+	}
 }
 
-// AttachDTM closes the thermal loop: it builds a dtm.Controller from the
-// config's DTM fields (DTMPolicy, TripTempC, DutyCycle), attaches the
-// thermal pipeline stepping every interval cycles if one is not already
-// attached, and wires the controller as the tracker's actor plus into
-// every actuator path — migration targeting (veto), bank access (drowsy
-// wakeups), CPU issue (duty-cycling), and, when the reroute policy is
-// enabled, the fabric's pillar selection. Attach at the start of the
-// window to manage (typically right after ResetStats), in place of
-// AttachThermal; Results gains both the Thermal and the DTM reports.
-//
-// The error cases are an unparseable Cfg.DTMPolicy or Cfg.DutyCycle. An
-// empty policy ("" or "none") is valid and attaches a controller that
-// actuates nothing — useful for verifying the loop itself is inert (see
-// TestDTMDoesNotPerturbWhenDisabled).
-func (s *System) AttachDTM(interval uint64) (*dtm.Controller, error) {
-	pol, err := dtm.ParsePolicy(s.Cfg.DTMPolicy)
-	if err != nil {
-		return nil, err
-	}
-	on, period, err := dtm.ParseDuty(s.Cfg.DutyCycle)
-	if err != nil {
-		return nil, err
-	}
-	if s.thermalT == nil {
-		s.AttachThermal(interval)
-	}
+// attachDTM closes the thermal loop: it builds a dtm.Controller from the
+// config's DTM fields (DTMPolicy, TripTempC, DutyCycle) and wires it as
+// the thermal tracker's actor plus into every actuator path — migration
+// targeting (veto), bank access (drowsy wakeups), CPU issue
+// (duty-cycling), and, when the reroute policy is enabled, the fabric's
+// pillar selection.
+func (s *System) attachDTM() {
+	// Instrument has run CheckDTM, so the strings parse.
+	pol, _ := dtm.ParsePolicy(s.Cfg.DTMPolicy)
+	on, period, _ := dtm.ParseDuty(s.Cfg.DutyCycle)
 	prm := thermal.DefaultParams()
 	ctl := dtm.NewController(s.Top.Dim, pol, dtm.Options{
 		TripC:          s.Cfg.TripTempC,
@@ -104,7 +193,6 @@ func (s *System) AttachDTM(interval uint64) (*dtm.Controller, error) {
 		s.Fab.SetPillarPenalty(ctl.PillarPenalty, ctl.NotePillarDiversion)
 	}
 	s.dtm = ctl
-	return ctl, nil
 }
 
 // WriteThermalMap renders per-layer ASCII temperature maps of the attached
@@ -112,7 +200,7 @@ func (s *System) AttachDTM(interval uint64) (*dtm.Controller, error) {
 // pipeline is attached.
 func (s *System) WriteThermalMap(w io.Writer) error {
 	if s.thermalT == nil {
-		return fmt.Errorf("core: no thermal pipeline attached (call AttachThermal first)")
+		return fmt.Errorf("core: no thermal pipeline attached (request Instruments.ThermalInterval)")
 	}
 	return thermal.WriteHeatMap(w, s.thermalT.Grid(), s.Top.CPUs)
 }
@@ -124,12 +212,13 @@ func (s *System) refreshProbe() {
 	if s.thermalT != nil {
 		sink = s.thermalT.Sink()
 	}
-	sink = obs.Tee(s.traceSink, sink)
-	s.AttachProbe(obs.NewProbe(sink))
+	s.obsProbe = obs.NewProbe(obs.Tee(s.traceSink, sink))
+	s.Fab.SetProbe(s.obsProbe)
 }
 
 // AttachProfile attaches the host-side phase profiler ("flight
-// recorder"): from now on every Engine.Run is wall-clock-attributed
+// recorder"), as Instruments.Profile does: from now on every Engine.Run
+// is wall-clock-attributed
 // across the loop's phases — CPU pipeline events vs protocol/cluster
 // events in the engine drain (split by typed event kind), the network
 // tick, the thermal and sampler tickers, and the engine's own bookkeeping
@@ -181,22 +270,6 @@ func tickerPhase(t sim.Ticker) prof.Phase {
 	return prof.PhaseOther
 }
 
-// AttachSpans attaches a transaction span recorder: from now on every L2
-// transaction carries a component ledger that tiles its whole lifetime —
-// search windows, per-hop network time split into queue vs link, pillar-bus
-// arbitration vs transfer, tag and bank service, DRAM — and Results gains
-// the aggregate Breakdown. Transactions already in flight are not traced,
-// so attach before the measurement window opens — ResetStats resets the
-// recorder's aggregates along with the other statistics, which makes the
-// traced set exactly the set the measured latency means cover. Unlike
-// AttachProbe the recorder registers no tickers and never wakes the
-// fabric, so idle-cycle skipping stays engaged; spans and chains are
-// pooled, so steady-state recording allocates nothing.
-func (s *System) AttachSpans() *obs.SpanRecorder {
-	s.spans = obs.NewSpanRecorder()
-	return s.spans
-}
-
 // StatsRegistry returns the machine's counter registry: the live Metrics
 // fields and raw fabric traffic counters exposed through the stats.Set
 // Names/Value interface. The registry is built once and shared — the
@@ -229,12 +302,12 @@ func (s *System) StatsRegistry() *stats.Set {
 	return reg
 }
 
-// AttachSampler registers a periodic metrics sampler with the engine:
+// attachSampler registers a periodic metrics sampler with the engine:
 // every interval cycles it appends one row of interval metrics — counter
 // deltas from a stats.Set registry backed by the live Metrics fields, the
 // L2 hit-latency mean and P95 over the interval, mesh router utilization,
-// and per-pillar bus occupancy. The returned sampler keeps accumulating
-// until the simulation stops; read it with Series().
+// and per-pillar bus occupancy. The sampler keeps accumulating until the
+// simulation stops; read it with Sampler().Series().
 //
 // Column semantics:
 //
@@ -248,7 +321,7 @@ func (s *System) StatsRegistry() *stats.Set {
 //	    — flits forwarded per router per cycle, averaged over the mesh
 //	bus<N>_occ
 //	    — fraction of the interval's cycles pillar bus N carried a flit
-func (s *System) AttachSampler(interval uint64) *obs.Sampler {
+func (s *System) attachSampler(interval uint64) {
 	sm := obs.NewSampler(interval)
 	sm.AddCounterSet(s.StatsRegistry())
 
@@ -313,8 +386,8 @@ func (s *System) AttachSampler(interval uint64) *obs.Sampler {
 	}
 
 	// Thermal telemetry columns, present only when the pipeline is
-	// attached (AttachThermal must precede AttachSampler so the tracker
-	// ticks — and flushes its window — before the sampler reads it):
+	// attached (Instrument attaches it first, so the tracker ticks — and
+	// flushes its window — before the sampler reads it):
 	// per-component window power, per-layer peak/mean temperature, and
 	// the hotspot coordinates.
 	if tt := s.thermalT; tt != nil {
@@ -353,9 +426,9 @@ func (s *System) AttachSampler(interval uint64) *obs.Sampler {
 	}
 
 	// Digest telemetry columns, present only when a digest recorder is
-	// attached (AttachDigest must precede AttachSampler so the recorder
-	// ticks before the sampler reads it): the cumulative overall digest
-	// and the per-subsystem chains, truncated to float64's 53-bit
+	// attached (Instrument attaches it before the sampler, so the
+	// recorder ticks before the sampler reads it): the cumulative overall
+	// digest and the per-subsystem chains, truncated to float64's 53-bit
 	// mantissa (a diagnostic fingerprint for eyeballing when two sampled
 	// runs diverge, not the attestation value — Results.Digests carries
 	// the full 64 bits).
@@ -369,5 +442,5 @@ func (s *System) AttachSampler(interval uint64) *obs.Sampler {
 	}
 
 	s.Engine.Register(sm)
-	return sm
+	s.sampler = sm
 }

@@ -26,13 +26,15 @@ func runSpans(t *testing.T, cfg config.Config, skip bool) (*obs.SpanRecorder, Re
 	// Attach before warmup so transactions in flight across the stats reset
 	// carry spans; ResetStats resets the recorder too, so the traced set is
 	// exactly the set the measured means cover.
-	rec := s.AttachSpans()
+	if err := s.Instrument(Instruments{RecordSpans: true}); err != nil {
+		t.Fatal(err)
+	}
 	s.Warm(11)
 	s.Start()
 	s.Run(5_000)
 	s.ResetStats()
 	s.Run(30_000)
-	return rec, s.Results()
+	return s.Spans(), s.Results()
 }
 
 // TestSpanConservation is the breakdown's core guarantee: for every traced
@@ -160,7 +162,9 @@ func TestSpanSkipEquivalence(t *testing.T) {
 	if !s.Fab.Idle() {
 		t.Fatal("fresh fabric not idle")
 	}
-	s.AttachSpans()
+	if err := s.Instrument(Instruments{RecordSpans: true}); err != nil {
+		t.Fatal(err)
+	}
 	if !s.Fab.Idle() {
 		t.Error("attaching spans disabled idle-cycle skipping")
 	}

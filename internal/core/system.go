@@ -115,32 +115,41 @@ type System struct {
 	// replicas of it (victim-replication extension).
 	replicas map[cache.LineAddr]uint16
 
-	// probe, when non-nil, receives migration, MSI coherence, and cache
-	// SRAM events (the network layers hold their own copy via
-	// Fab.SetProbe). Nil by default; see AttachProbe. When both a tracer
-	// and the thermal pipeline are attached, the probe tees into both
-	// sinks (traceSink and thermalT compose through refreshProbe).
+	// obsProbe, when non-nil, receives migration, MSI coherence, and
+	// cache SRAM events (the network layers hold their own copy via
+	// Fab.SetProbe). Nil by default. When both a tracer and the thermal
+	// pipeline are attached, the probe tees into both sinks (traceSink
+	// and thermalT compose through refreshProbe).
 	obsProbe  *obs.Probe
 	traceSink obs.Sink
 	thermalT  *obs.ThermalTracker
 
 	// dtm, when non-nil, is the attached dynamic-thermal-management
-	// controller (see AttachDTM): the migration, bank-access, CPU-issue,
+	// controller (see attachDTM): the migration, bank-access, CPU-issue,
 	// and pillar-selection paths consult it, each behind a single nil
 	// check so an unmanaged run pays nothing.
 	dtm *dtm.Controller
 
-	// spans, when non-nil, records per-transaction latency spans; see
-	// AttachSpans. Unlike obsProbe it is not a fabric probe and registers
-	// no tickers, so idle-cycle skipping stays engaged.
+	// spans, when non-nil, records per-transaction latency spans
+	// (Instruments.RecordSpans). Unlike obsProbe it is not a fabric probe
+	// and registers no tickers, so idle-cycle skipping stays engaged.
 	spans *obs.SpanRecorder
+
+	// sampler, when non-nil, is the interval metrics sampler (see
+	// attachSampler).
+	sampler *obs.Sampler
+
+	// pending holds the window instruments requested before Start; the
+	// next ResetStats attaches them (see Instrument).
+	pending Instruments
+	started bool
 
 	// statsReg is the lazily built counter registry over the live Metrics
 	// fields and fabric traffic counters; see StatsRegistry.
 	statsReg *stats.Set
 
 	// digestRec, when non-nil, is the attached state-digest recorder
-	// (see AttachDigest): a periodic ticker folding every subsystem into
+	// (see attachDigest): a periodic ticker folding every subsystem into
 	// per-subsystem hash chains. A pure observer — it reads simulator
 	// state and writes only its own arrays — so Results (minus the
 	// Digests field itself) are bit-identical with it attached.
@@ -265,6 +274,7 @@ func (s *System) Start() {
 	for _, c := range s.CPUs {
 		c.start()
 	}
+	s.started = true
 }
 
 // Run advances the machine by the given number of cycles.
@@ -275,7 +285,8 @@ func (s *System) Run(cycles uint64) { s.Engine.Run(cycles) }
 func (s *System) Close() {}
 
 // ResetStats discards everything measured so far (warm-up) while keeping
-// all architectural state.
+// all architectural state, then attaches the window instruments
+// requested before Start.
 func (s *System) ResetStats() {
 	s.M.Reset()
 	s.baseCycle = s.Engine.Now()
@@ -285,6 +296,8 @@ func (s *System) ResetStats() {
 	if s.spans != nil {
 		s.spans.Reset()
 	}
+	s.attachWindow(s.pending)
+	s.pending = Instruments{}
 }
 
 func (s *System) totalInstrs() uint64 {
@@ -714,22 +727,24 @@ type Results struct {
 	BusFlits      uint64
 
 	// Breakdown is the per-component latency decomposition, filled only
-	// when span tracing was attached (see AttachSpans); nil otherwise.
+	// when span tracing was attached (Instruments.RecordSpans); nil
+	// otherwise.
 	Breakdown *obs.BreakdownReport `json:",omitempty"`
 
 	// Thermal is the run-level activity-driven thermal report, filled
-	// only when the thermal pipeline was attached (see AttachThermal);
-	// nil otherwise.
+	// only when the thermal pipeline was attached
+	// (Instruments.ThermalInterval); nil otherwise.
 	Thermal *obs.ThermalReport `json:",omitempty"`
 
 	// DTM is the dynamic-thermal-management summary — trip engagements,
 	// per-actuator counts, and their latency cost — filled only when a
-	// DTM controller was attached (see AttachDTM); nil otherwise.
+	// DTM controller was attached (a managed machine with
+	// Instruments.ThermalInterval); nil otherwise.
 	DTM *dtm.Report `json:",omitempty"`
 
 	// Profile is the host-side flight-recorder readout — per-phase
 	// wall-clock shares, throughput windows — filled only when the
-	// profiler was attached (see AttachProfile); nil otherwise. Unlike
+	// profiler was attached (Instruments.Profile); nil otherwise. Unlike
 	// every other field it describes the simulator, not the simulated
 	// chip, and is therefore host- and load-dependent: comparisons must
 	// strip it first (TestProfileDoesNotPerturb does).
@@ -737,9 +752,9 @@ type Results struct {
 
 	// Digests is the state-digest summary — the final run-attesting
 	// digest plus per-subsystem chain values — filled only when a digest
-	// recorder was attached (see AttachDigest); nil otherwise. The
-	// digests describe simulator state exactly, so they are themselves
-	// deterministic, but a detached run has none: bit-identity
+	// recorder was attached (Instruments.DigestInterval); nil otherwise.
+	// The digests describe simulator state exactly, so they are
+	// themselves deterministic, but a detached run has none: bit-identity
 	// comparisons against detached runs must strip the field first
 	// (TestDigestDoesNotPerturb does, like Profile).
 	Digests *digest.Report `json:",omitempty"`

@@ -441,17 +441,13 @@ func managedRun(t *testing.T, scheme config.Scheme, chunk uint64, step, profile 
 		t.Fatal(err)
 	}
 	s.Engine.SetIdleSkip(!step)
-	if profile {
-		s.AttachProfile()
+	if err := s.Instrument(Instruments{ThermalInterval: 1_000, SampleInterval: 777, Profile: profile}); err != nil {
+		t.Fatal(err)
 	}
 	s.Warm(11)
 	s.Start()
 	s.Run(5_000)
 	s.ResetStats()
-	if _, err := s.AttachDTM(1_000); err != nil {
-		t.Fatal(err)
-	}
-	sm := s.AttachSampler(777)
 	const window = 30_000
 	if chunk == 0 {
 		chunk = window
@@ -466,7 +462,7 @@ func managedRun(t *testing.T, scheme config.Scheme, chunk uint64, step, profile 
 		t.Fatal(err)
 	}
 	var series bytes.Buffer
-	if err := sm.Series().WriteCSV(&series); err != nil {
+	if err := s.Sampler().Series().WriteCSV(&series); err != nil {
 		t.Fatal(err)
 	}
 	return resJSON, series.Bytes()
@@ -506,6 +502,26 @@ func TestShardedDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInstrumentSamplerLast pins the ordering rule Instrument owns: the
+// sampler carries the thermal and digest columns, so thermal or digests
+// requested once a sampler is pending (before Start) or attached (after)
+// is an error that attaches nothing, not a sampler missing its columns.
+func TestInstrumentSamplerLast(t *testing.T) {
+	prof, _ := trace.ProfileByName("mgrid", 8)
+	for _, started := range []bool{false, true} {
+		s, _ := NewSystem(config.Default(config.CMPDNUCA3D), prof, 1)
+		if started {
+			s.Start()
+		}
+		errs := []error{s.Instrument(Instruments{SampleInterval: 1_000}),
+			s.Instrument(Instruments{ThermalInterval: 1_000}), s.Instrument(Instruments{DigestInterval: 1_000})}
+		s.ResetStats()
+		if errs[0] != nil || errs[1] == nil || errs[2] == nil || s.thermalT != nil || s.digestRec != nil || s.sampler == nil {
+			t.Errorf("started=%v: errors %v; want the late requests refused and only the sampler attached", started, errs)
+		}
 	}
 }
 

@@ -194,8 +194,7 @@ func (r *Recorder) FoldFloat(f float64) { r.Fold(math.Float64bits(f)) }
 func Mixed(seed, x uint64) uint64 { return Mix(seed ^ x) }
 
 // Reserve pre-grows the snapshot stream to hold n records, so a sized
-// run's record path performs no appends-with-growth. AttachDigest
-// callers size it from the planned run length; the alloc-pin test
+// run's record path performs no appends-with-growth; the alloc-pin test
 // measures the post-Reserve steady state.
 func (r *Recorder) Reserve(n int) {
 	if cap(r.stream)-len(r.stream) >= n {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/config"
 )
 
 // Policy is a bitmask of enabled DTM actuators. Policies compose freely;
@@ -41,13 +43,14 @@ var policyNames = []struct {
 	{"reroute", PolicyReroute},
 }
 
-// ParsePolicy parses a policy specification: "" or "none" (no actuators),
-// "all", or a comma-separated subset of veto, drowsy, duty, reroute.
+// ParsePolicy parses a policy specification: a config.DTMOff spelling
+// such as "" or "none" (no actuators), "all", or a comma-separated subset
+// of veto, drowsy, duty, reroute.
 func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "none", "off":
+	if config.DTMOff(s) {
 		return 0, nil
-	case "all":
+	}
+	if strings.EqualFold(strings.TrimSpace(s), "all") {
 		return PolicyAll, nil
 	}
 	var p Policy

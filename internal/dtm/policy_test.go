@@ -1,6 +1,10 @@
 package dtm
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/config"
+)
 
 func TestParsePolicy(t *testing.T) {
 	cases := []struct {
@@ -33,6 +37,21 @@ func TestParsePolicy(t *testing.T) {
 		}
 		if err == nil && got != c.want {
 			t.Errorf("ParsePolicy(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestDTMActiveMatchesParsePolicy pins the one definition of "DTM off":
+// for every spelling ParsePolicy accepts, config.DTMActive is true
+// exactly when the parsed policy enables an actuator.
+func TestDTMActiveMatchesParsePolicy(t *testing.T) {
+	for _, s := range []string{"", "none", "off", "None", " OFF ", "all", "veto", "veto,duty"} {
+		p, err := ParsePolicy(s)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%q): %v", s, err)
+		}
+		if active := (config.Config{DTMPolicy: s}).DTMActive(); active != (p != 0) {
+			t.Errorf("DTMPolicy %q: DTMActive() = %v, parsed policy %v", s, active, p)
 		}
 	}
 }

@@ -108,7 +108,7 @@ func NewThermalTracker(dim geom.Dim, prm thermal.Params, model EnergyModel, inte
 }
 
 // Sink returns the accountant as an event sink — compose it onto the
-// simulation's probe (core wires this automatically via AttachThermal).
+// simulation's probe (core.System.Instrument wires this automatically).
 func (t *ThermalTracker) Sink() Sink { return t.acct }
 
 // Grid exposes the transient grid (for end-of-window temperature maps).

@@ -54,7 +54,6 @@ func Diverge(a, b Job, interval uint64) (*DivergeReport, error) {
 	}
 	b.WarmCycles, b.MeasureCycles = a.WarmCycles, a.MeasureCycles
 	a.DigestInterval, b.DigestInterval = interval, interval
-	a.DigestStart, b.DigestStart = 0, 0
 
 	sa, sb, da, db, err := runDigestPair(a, b)
 	if err != nil {
@@ -81,14 +80,16 @@ func Diverge(a, b Job, interval uint64) (*DivergeReport, error) {
 	// Refinement: state diverged in (CoarseCycle-interval, CoarseCycle].
 	// Rerun both jobs (deterministic, so they replay exactly), running
 	// undigested up to the last agreeing snapshot, then digest every
-	// cycle through the divergent one.
+	// cycle through the divergent one. The recorder attaches mid-window,
+	// after where a sampler would sit, so the reruns drop the sampler.
 	fa, fb := a, b
 	fa.DigestInterval, fb.DigestInterval = 1, 1
+	fa.SampleInterval, fb.SampleInterval = 0, 0
 	start := uint64(0)
 	if div.Cycle >= a.WarmCycles+interval {
 		start = div.Cycle - interval - a.WarmCycles
 	}
-	fa.DigestStart, fb.DigestStart = start, start
+	fa.digestStart, fb.digestStart = start, start
 	mc := div.Cycle - a.WarmCycles + 1
 	fa.MeasureCycles, fb.MeasureCycles = mc, mc
 	stripHooks(&fa)

@@ -32,51 +32,18 @@ type Job struct {
 	MeasureCycles uint64
 	// Seed makes the run deterministic.
 	Seed uint64
-	// SampleInterval, when non-zero, attaches an interval metrics sampler
-	// (core.System.AttachSampler) for the measurement window; its time
-	// series lands in Result.Samples. Zero leaves sampling off, costing
-	// nothing.
-	SampleInterval uint64
-	// ThermalInterval, when non-zero, attaches the activity-driven
-	// power/thermal pipeline (core.System.AttachThermal) stepping the
-	// transient RC grid every ThermalInterval cycles of the measurement
-	// window; the run-level report lands in Results.Thermal, and any
-	// attached sampler gains the thermal columns. Zero leaves the pipeline
-	// off, costing nothing.
-	//
-	// When Config.DTMActive() (Config.DTMPolicy names any policy), the
-	// runner attaches the DTM controller instead (core.System.AttachDTM,
-	// which subsumes the thermal attach at the same interval), and
-	// Results.DTM carries the management report. DTM needs the thermal
-	// loop, so a DTM-active job with a zero ThermalInterval fails.
-	ThermalInterval uint64
+	// Instruments selects the observers (core.System.Instrument). The span
+	// recorder and the profiler attach before warm-up, so the breakdown
+	// covers exactly the transactions the measured latency means do and
+	// the profile covers the whole run; the window instruments attach at
+	// the stats reset and cover the measurement window. Samples land in
+	// Result.Samples and the reports in Results. A managed machine
+	// (Config.DTMActive) needs a ThermalInterval.
+	core.Instruments
 
-	// DigestInterval, when non-zero, attaches the state-digest recorder
-	// (core.System.AttachDigest) snapshotting every DigestInterval cycles
-	// of the measurement window; the summary lands in Results.Digests
-	// (whose in-memory Stream carries the full snapshot sequence), and
-	// any attached sampler gains the digest columns. Digesting is a pure
-	// observation: Results minus the Digests field are bit-identical to
-	// an undigested run. Zero leaves it off, costing nothing.
-	DigestInterval uint64
-	// DigestStart delays the digest attach by that many measurement
-	// cycles: the window's first DigestStart cycles run undigested, then
-	// the recorder attaches and snapshots the rest. This is the
-	// divergence bisector's refinement knob — rerun a window digesting
-	// every cycle, but only over the coarse-divergent tail — and it
-	// changes Results.Digests coverage accordingly. Ignored when
-	// DigestInterval is zero; a DigestStart past the window clamps to it.
-	// A late-attached recorder registers after the sampler, so the
-	// sampler digest columns require DigestStart == 0.
-	DigestStart uint64
-
-	// RecordSpans attaches a transaction span recorder
-	// (core.System.AttachSpans), so Results.Breakdown carries the
-	// per-component latency decomposition of the measurement window. The
-	// recorder attaches before warm-up and is reset with the statistics,
-	// making the breakdown cover exactly the transactions the measured
-	// latency means do. False leaves span tracing off, costing nothing.
-	RecordSpans bool
+	// digestStart delays the digest attach that many cycles into the
+	// measurement window; only Diverge's refinement pass sets it.
+	digestStart uint64
 
 	// Progress, when non-nil, receives the job's completion fraction —
 	// warm+measure cycles executed over the total — as the simulation
@@ -107,14 +74,6 @@ type Job struct {
 	// other goroutines as-is — the serving tier's /metrics reads these.
 	// Setting it implies chunked execution, as for Progress.
 	OnStats func(snap []stats.NameValue)
-
-	// Profile attaches the host-side phase profiler
-	// (core.System.AttachProfile) before warm-up, so Results.Profile
-	// carries the whole run's wall-clock attribution — per-phase shares
-	// and throughput windows. Host-side only: a profiled
-	// job's Results (Profile field aside) are bit-identical to an
-	// unprofiled job's. False leaves it off, costing nothing.
-	Profile bool
 
 	// OnProfile, when non-nil (and Profile true), receives a cheap live
 	// snapshot of the profiler — wall time, cycles/sec, per-phase
@@ -244,16 +203,13 @@ func runOne(i int, j Job) (res Result) {
 		res.Err = err
 		return res
 	}
-	if j.RecordSpans {
-		// Before warm-up, so transactions in flight across ResetStats carry
-		// spans and the breakdown matches the measured means exactly.
-		sys.AttachSpans()
+	in, digestAt := j.Instruments, min(j.digestStart, j.MeasureCycles)
+	if digestAt > 0 {
+		in.DigestInterval = 0 // attached digestAt cycles into the window
 	}
-	var rec *prof.Recorder
-	if j.Profile {
-		// Before warm-up too: the profiler attributes host time, and warm
-		// cycles cost host time worth seeing in the dominance table.
-		rec = sys.AttachProfile()
+	if err := sys.Instrument(in); err != nil {
+		res.Err = fmt.Errorf("runner: job %d: %w", i, err)
+		return res
 	}
 	sys.Warm(j.Seed)
 	sys.Start()
@@ -264,56 +220,24 @@ func runOne(i int, j Job) (res Result) {
 	if total > 0 {
 		warmFrac = float64(j.WarmCycles) / float64(total)
 	}
-	runChunked(sys, j, rec, j.WarmCycles, 0, warmFrac, false)
+	runChunked(sys, j, j.WarmCycles, 0, warmFrac, false)
 	sys.ResetStats()
-	if j.ThermalInterval > 0 {
-		// Before the sampler: the tracker must tick (flushing its power
-		// window and stepping the grid) before the sampler reads the
-		// thermal columns.
-		if j.Config.DTMActive() {
-			if _, err := sys.AttachDTM(j.ThermalInterval); err != nil {
-				res.Err = err
-				return res
-			}
-		} else {
-			sys.AttachThermal(j.ThermalInterval)
-		}
-	} else if j.Config.DTMActive() {
-		res.Err = fmt.Errorf("runner: job %d sets DTMPolicy=%q but no ThermalInterval (DTM needs the thermal loop)",
-			i, j.Config.DTMPolicy)
-		return res
+	if sm := sys.Sampler(); sm != nil && j.OnSample != nil {
+		sm.SetRowSink(j.OnSample)
 	}
-	// Digest recorder before the sampler, so the sampler's digest columns
-	// read the snapshot the recorder just took at the same cycle. A
-	// non-zero DigestStart defers the attach into the window instead.
-	digestStart := uint64(0)
-	if j.DigestInterval > 0 {
-		digestStart = j.DigestStart
-		if digestStart > j.MeasureCycles {
-			digestStart = j.MeasureCycles
-		}
-		if digestStart == 0 {
-			sys.AttachDigest(j.DigestInterval).Reserve(int(j.MeasureCycles/j.DigestInterval) + 1)
-		}
-	}
-	var sampler *obs.Sampler
-	if j.SampleInterval > 0 {
-		sampler = sys.AttachSampler(j.SampleInterval)
-		if j.OnSample != nil {
-			sampler.SetRowSink(j.OnSample)
-		}
-	}
-	if digestStart > 0 {
+	measureFrac := 1 - warmFrac
+	if digestAt > 0 {
 		// Split the window at the deferred attach point; both segments are
 		// ordinary chunked runs, so progress/stats hooks see one window.
-		measureFrac := 1 - warmFrac
-		startFrac := measureFrac * float64(digestStart) / float64(j.MeasureCycles)
-		runChunked(sys, j, rec, digestStart, warmFrac, startFrac, true)
-		rest := j.MeasureCycles - digestStart
-		sys.AttachDigest(j.DigestInterval).Reserve(int(rest/j.DigestInterval) + 1)
-		runChunked(sys, j, rec, rest, warmFrac+startFrac, measureFrac-startFrac, true)
+		startFrac := measureFrac * float64(digestAt) / float64(j.MeasureCycles)
+		runChunked(sys, j, digestAt, warmFrac, startFrac, true)
+		if err := sys.Instrument(core.Instruments{DigestInterval: j.DigestInterval}); err != nil {
+			res.Err = fmt.Errorf("runner: job %d: %w", i, err)
+			return res
+		}
+		runChunked(sys, j, j.MeasureCycles-digestAt, warmFrac+startFrac, measureFrac-startFrac, true)
 	} else {
-		runChunked(sys, j, rec, j.MeasureCycles, warmFrac, 1-warmFrac, true)
+		runChunked(sys, j, j.MeasureCycles, warmFrac, measureFrac, true)
 	}
 	if j.Progress != nil {
 		j.Progress(1)
@@ -321,12 +245,12 @@ func runOne(i int, j Job) (res Result) {
 	if j.OnStats != nil {
 		j.OnStats(sys.StatsRegistry().Snapshot())
 	}
-	if j.OnProfile != nil && rec != nil {
+	if rec := sys.Profiler(); j.OnProfile != nil && rec != nil {
 		j.OnProfile(rec.Snap())
 	}
 	res.Results = sys.Results()
-	if sampler != nil {
-		res.Samples = sampler.Series()
+	if sm := sys.Sampler(); sm != nil {
+		res.Samples = sm.Series()
 	}
 	return res
 }
@@ -344,7 +268,8 @@ const progressChunks = 64
 // skipped steps are no-ops, so only the observation points differ.
 // measuring gates the OnStats hook to the measurement window, where the
 // counters mean something.
-func runChunked(sys *core.System, j Job, rec *prof.Recorder, cycles uint64, base, span float64, measuring bool) {
+func runChunked(sys *core.System, j Job, cycles uint64, base, span float64, measuring bool) {
+	rec := sys.Profiler()
 	hooked := j.Progress != nil ||
 		(measuring && (j.OnStats != nil || (j.OnProfile != nil && rec != nil)))
 	if !hooked || cycles == 0 {

@@ -2,10 +2,12 @@ package runner
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -102,6 +104,18 @@ func TestPoolInvalidConfig(t *testing.T) {
 	res := Run([]Job{{Config: config.Config{}, Benchmark: "mgrid"}}, 2)
 	if res[0].Err == nil {
 		t.Fatal("zero config ran successfully, want a captured error")
+	}
+}
+
+// TestJobDTMNeedsThermal: a managed job (a DTM policy) without a thermal
+// interval fails with an error naming the policy and the missing
+// interval, instead of running unmanaged.
+func TestJobDTMNeedsThermal(t *testing.T) {
+	j := testJobs()[0]
+	j.Config.DTMPolicy = "all"
+	err := Run([]Job{j}, 1)[0].Err
+	if err == nil || !strings.Contains(err.Error(), `DTMPolicy "all" needs a thermal interval`) {
+		t.Fatalf("managed job without ThermalInterval: err = %v, want the named DTM error", err)
 	}
 }
 
@@ -326,12 +340,12 @@ func TestJobOnSampleAndOnStats(t *testing.T) {
 	var headers []string
 	var snaps [][]stats.NameValue
 	j := Job{
-		Config:         config.Default(config.CMPDNUCA3D),
-		Benchmark:      "swim",
-		WarmCycles:     2_000,
-		MeasureCycles:  8_000,
-		Seed:           3,
-		SampleInterval: 500,
+		Config:        config.Default(config.CMPDNUCA3D),
+		Benchmark:     "swim",
+		WarmCycles:    2_000,
+		MeasureCycles: 8_000,
+		Seed:          3,
+		Instruments:   core.Instruments{SampleInterval: 500},
 		OnSample: func(header []string, row []float64) {
 			headers = header // stable slice; last assignment is fine
 			streamed = append(streamed, append([]float64(nil), row...))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/digest"
 	"repro/internal/prof"
 	"repro/internal/runner"
@@ -44,21 +45,18 @@ type JobRequest struct {
 	MeasureCycles *uint64 `json:"measure_cycles,omitempty"`
 	Seed          uint64  `json:"seed,omitempty"`
 
-	// SampleInterval is the metrics sampling period in cycles; 0 selects
-	// the server's default, so every job is streamable by default. Set
-	// NoSamples to run without a sampler at all (no live stream).
-	SampleInterval  uint64 `json:"sample_interval,omitempty"`
-	NoSamples       bool   `json:"no_samples,omitempty"`
-	ThermalInterval uint64 `json:"thermal_interval,omitempty"`
-	RecordSpans     bool   `json:"record_spans,omitempty"`
+	// Instruments selects the job's observers (sample_interval,
+	// thermal_interval, digest_interval, record_spans; see
+	// core.Instruments), and all of them are part of the job identity. A
+	// zero sample_interval selects the server's default, so every job is
+	// streamable by default; set NoSamples to run without a sampler at
+	// all (no live stream). A managed machine (dtm_policy) with no
+	// thermal_interval steps its thermal loop at the sampling period. A
+	// digested job's status carries a digest summary, and /metrics the
+	// nimsim_job_digest_info family.
+	core.Instruments
+	NoSamples bool `json:"no_samples,omitempty"`
 
-	// DigestInterval, when non-zero, attaches the state-digest recorder
-	// (runner.Job.DigestInterval): the job's Results carry the Digests
-	// report, GET /jobs/{id} a digest summary, and /metrics the
-	// nimsim_job_digest_info family. It is part of the job identity —
-	// digesting adds the Digests field to the Results bytes, so digested
-	// and undigested submissions must not share a cache entry.
-	DigestInterval uint64 `json:"digest_interval,omitempty"`
 	// DigestVerify, when true (and DigestInterval non-zero), makes the
 	// worker rerun the job without its hooks (progress, counters, sample
 	// rows, profiler) after the primary run and compare the two digest
@@ -122,6 +120,9 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return runner.Job{}, err
 	}
+	if err := core.CheckDTM(cfg); err != nil {
+		return runner.Job{}, err
+	}
 
 	bench := req.Benchmark
 	if bench == "" {
@@ -134,64 +135,57 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 	if req.MeasureCycles != nil {
 		measure = *req.MeasureCycles
 	}
-	sample := req.SampleInterval
-	if sample == 0 && !req.NoSamples {
-		sample = s.opts.DefaultSampleInterval
+	in := req.Instruments
+	switch {
+	case req.NoSamples:
+		in.SampleInterval = 0
+	case in.SampleInterval == 0:
+		in.SampleInterval = s.opts.DefaultSampleInterval
 	}
-	if req.NoSamples {
-		sample = 0
-	}
-	thermal := req.ThermalInterval
-	if cfg.DTMActive() && thermal == 0 {
+	if cfg.DTMActive() && in.ThermalInterval == 0 {
 		// DTM needs the thermal loop; default its step to the sampling
 		// period (or the sampler default) instead of failing the job.
-		thermal = sample
-		if thermal == 0 {
-			thermal = s.opts.DefaultSampleInterval
+		in.ThermalInterval = in.SampleInterval
+		if in.ThermalInterval == 0 {
+			in.ThermalInterval = s.opts.DefaultSampleInterval
 		}
 	}
 	return runner.Job{
-		Config:          cfg,
-		Benchmark:       bench,
-		WarmCycles:      warm,
-		MeasureCycles:   measure,
-		Seed:            req.Seed,
-		SampleInterval:  sample,
-		ThermalInterval: thermal,
-		RecordSpans:     req.RecordSpans,
-		DigestInterval:  req.DigestInterval,
+		Config:        cfg,
+		Benchmark:     bench,
+		WarmCycles:    warm,
+		MeasureCycles: measure,
+		Seed:          req.Seed,
+		Instruments:   in,
 	}, nil
 }
 
 // jobIdentity is the canonical cache key: every field that can change a
-// deterministic run's observable output. Hashing its JSON encoding gives
-// the job id — identical submissions collapse onto one registry entry,
-// which is the whole caching and coalescing mechanism.
+// deterministic run's observable output. Every instrument with a wire
+// name adds a report or a sample stream, so the embedded Instruments
+// are all part of it; the host-side Profile has no wire name and is not.
+// Hashing its JSON encoding gives the job id — identical submissions
+// collapse onto one registry entry, which is the whole caching and
+// coalescing mechanism.
 type jobIdentity struct {
-	ConfigHash      string `json:"config_hash"`
-	Benchmark       string `json:"benchmark"`
-	WarmCycles      uint64 `json:"warm_cycles"`
-	MeasureCycles   uint64 `json:"measure_cycles"`
-	Seed            uint64 `json:"seed"`
-	SampleInterval  uint64 `json:"sample_interval"`
-	ThermalInterval uint64 `json:"thermal_interval"`
-	RecordSpans     bool   `json:"record_spans"`
-	DigestInterval  uint64 `json:"digest_interval"`
+	ConfigHash    string `json:"config_hash"`
+	Benchmark     string `json:"benchmark"`
+	WarmCycles    uint64 `json:"warm_cycles"`
+	MeasureCycles uint64 `json:"measure_cycles"`
+	Seed          uint64 `json:"seed"`
+	core.Instruments
 }
 
 // jobID derives the registry key for a normalized runner job: 16 hex
 // characters of the SHA-256 of the job's canonical identity.
 func jobID(j runner.Job) string {
 	ident := jobIdentity{
-		ConfigHash:      config.CanonicalHash(j.Config),
-		Benchmark:       j.Benchmark,
-		WarmCycles:      j.WarmCycles,
-		MeasureCycles:   j.MeasureCycles,
-		Seed:            j.Seed,
-		SampleInterval:  j.SampleInterval,
-		ThermalInterval: j.ThermalInterval,
-		RecordSpans:     j.RecordSpans,
-		DigestInterval:  j.DigestInterval,
+		ConfigHash:    config.CanonicalHash(j.Config),
+		Benchmark:     j.Benchmark,
+		WarmCycles:    j.WarmCycles,
+		MeasureCycles: j.MeasureCycles,
+		Seed:          j.Seed,
+		Instruments:   j.Instruments,
 	}
 	b, err := json.Marshal(ident)
 	if err != nil {

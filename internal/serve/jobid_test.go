@@ -19,12 +19,12 @@ func TestJobIdentityDefaultsVsExplicit(t *testing.T) {
 
 	warm, measure := uint64(50_000), uint64(250_000)
 	explicit := JobRequest{
-		Scheme:         "dnuca3d",
-		Benchmark:      "mgrid",
-		WarmCycles:     &warm,
-		MeasureCycles:  &measure,
-		SampleInterval: s.opts.DefaultSampleInterval,
+		Scheme:        "dnuca3d",
+		Benchmark:     "mgrid",
+		WarmCycles:    &warm,
+		MeasureCycles: &measure,
 	}
+	explicit.SampleInterval = s.opts.DefaultSampleInterval
 	implicit := JobRequest{} // every field defaulted
 
 	ja, err := s.buildJob(explicit)

@@ -461,8 +461,26 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
+// TestDTMJobDefaultsThermal: a managed job without thermal_interval runs
+// its thermal loop at the sampling period instead of failing, and its
+// Results carry both the Thermal and the DTM reports.
+func TestDTMJobDefaultsThermal(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	_, out := post(t, ts.URL+"/jobs?wait=1", `{"dtm_policy":"all","warm_cycles":1000,"measure_cycles":4000,"sample_interval":500}`)
+	var st struct {
+		Results struct {
+			Thermal *struct{ IntervalCycles uint64 }
+			DTM     *struct{ Policy string }
+		}
+	}
+	if err := json.Unmarshal(out, &st); err != nil || st.Results.Thermal == nil ||
+		st.Results.Thermal.IntervalCycles != 500 || st.Results.DTM == nil {
+		t.Fatalf("DTM job (%v): %s; want a 500-cycle thermal step and a DTM report", err, out)
+	}
+}
+
 // TestBadRequests: malformed JSON, unknown scheme, unknown request
-// fields, unknown benchmark, unknown job id.
+// fields, unparseable DTM strings, unknown benchmark, unknown job id.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 
@@ -475,13 +493,17 @@ func TestBadRequests(t *testing.T) {
 	// Unknown fields are rejected, not ignored: a misspelled window would
 	// otherwise queue the default 250k-cycle run, and a retired field
 	// would be dropped without the client learning it is gone.
+	// So are DTM strings that do not parse (the check Instrument runs):
+	// such a job would otherwise warm and settle a machine before failing.
 	for field, body := range map[string]string{
 		"measure_cyles": `{"scheme":"dnuca3d","measure_cyles":1000}`,
 		"shards":        `{"scheme":"dnuca3d","shards":2}`,
+		"bogus":         `{"scheme":"dnuca3d","dtm_policy":"bogus"}`,
+		"9/4":           `{"scheme":"dnuca3d","dtm_policy":"duty","duty_cycle":"9/4"}`,
 	} {
 		if resp, out := post(t, ts.URL+"/jobs", body); resp.StatusCode != http.StatusBadRequest ||
 			!strings.Contains(string(out), field) {
-			t.Errorf("unknown field %q = %d (%s), want 400 naming the field", field, resp.StatusCode, out)
+			t.Errorf("bad field %q = %d (%s), want 400 naming it", field, resp.StatusCode, out)
 		}
 	}
 	// An unknown benchmark passes validation (the runner rejects it at

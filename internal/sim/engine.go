@@ -117,8 +117,8 @@ type Engine struct {
 	// prof, when non-nil, receives host-side wall-clock attribution for
 	// every step: each fired event and each ticker's Tick is timed with
 	// monotonic clock deltas and folded into the recorder under the phase
-	// the classifiers assign (see SetProfiler). The nil path is the
-	// untouched hot path — one pointer check per Step and per Run.
+	// the classifiers assign (see SetProfiler). Step reads it once, and
+	// each attribution site nil-checks that copy.
 	prof         *prof.Recorder
 	classifyEv   func(kind uint8, closure bool) prof.Phase
 	classifyTick func(t Ticker) prof.Phase
@@ -152,7 +152,7 @@ func (e *Engine) Register(t Ticker) {
 // SetProfiler attaches a host-side phase profiler: every fired event is
 // classified by eventPhase (kind plus whether it is a legacy closure) and
 // every ticker by tickerPhase. Tickers registered later are classified on
-// registration. A nil recorder detaches, restoring the zero-overhead
+// registration. A nil recorder detaches, restoring the unprofiled
 // step. Attribution never feeds back into simulation state, so a
 // profiled run is bit-identical to an unprofiled one.
 func (e *Engine) SetProfiler(r *prof.Recorder, eventPhase func(kind uint8, closure bool) prof.Phase, tickerPhase func(Ticker) prof.Phase) {
@@ -253,12 +253,23 @@ func (e *Engine) migrate() {
 
 // Step advances the simulation by one cycle: due events fire first (they may
 // schedule more events, including for this same cycle), then tickers run.
+//
+// With a profiler attached, chained monotonic clock readings attribute
+// the step's wall time: each fired event's delta lands under its
+// classified phase, each ticker is timed around its Tick, and everything
+// unclaimed falls to the engine phase by subtraction at report time. The
+// profiler is read once; detached, each attribution site costs one nil
+// check.
 func (e *Engine) Step() {
-	if e.prof != nil {
-		e.stepProfiled()
-		return
+	p := e.prof
+	var last time.Time
+	if p != nil {
+		p.StepDone()
 	}
 	e.migrate()
+	if p != nil {
+		last = time.Now()
+	}
 	if len(e.overdue) > 0 {
 		// Events whose cycle was drained before they were scheduled; they
 		// precede this cycle's bucket (their cycle stamp is older). Firing
@@ -266,6 +277,9 @@ func (e *Engine) Step() {
 		// same-cycle reschedules land there.
 		for i := 0; i < len(e.overdue); i++ {
 			e.fire(&e.overdue[i])
+			if p != nil {
+				last = e.recordEvent(p, &e.overdue[i], last)
+			}
 		}
 		clear(e.overdue)
 		e.overdue = e.overdue[:0]
@@ -275,49 +289,21 @@ func (e *Engine) Step() {
 		ev := e.buckets[slot][i] // copy: firing may append and reallocate
 		e.fire(&ev)
 		e.inWheel--
-	}
-	clear(e.buckets[slot])
-	e.buckets[slot] = e.buckets[slot][:0]
-	e.drained = true
-	for _, t := range e.tickers {
-		t.Tick(e.cycle)
-	}
-	e.drained = false
-	e.cycle++
-}
-
-// stepProfiled is Step with phase attribution — kept in lockstep with the
-// unprofiled body above (same ordering, same drained-flag discipline), plus
-// chained monotonic clock readings: each fired event's delta lands under
-// its classified phase, each ticker is timed around its Tick, and
-// everything unclaimed falls to the engine phase by subtraction at report
-// time.
-func (e *Engine) stepProfiled() {
-	e.prof.StepDone()
-	e.migrate()
-	last := time.Now()
-	if len(e.overdue) > 0 {
-		for i := 0; i < len(e.overdue); i++ {
-			e.fire(&e.overdue[i])
-			last = e.recordEvent(&e.overdue[i], last)
+		if p != nil {
+			last = e.recordEvent(p, &ev, last)
 		}
-		clear(e.overdue)
-		e.overdue = e.overdue[:0]
-	}
-	slot := e.cycle & wheelMask
-	for i := 0; i < len(e.buckets[slot]); i++ {
-		ev := e.buckets[slot][i] // copy: firing may append and reallocate
-		e.fire(&ev)
-		e.inWheel--
-		last = e.recordEvent(&ev, last)
 	}
 	clear(e.buckets[slot])
 	e.buckets[slot] = e.buckets[slot][:0]
 	e.drained = true
 	for ti, t := range e.tickers {
+		if p == nil {
+			t.Tick(e.cycle)
+			continue
+		}
 		t0 := time.Now()
 		t.Tick(e.cycle)
-		e.prof.Record(e.tickerPhase[ti], time.Since(t0).Nanoseconds())
+		p.Record(e.tickerPhase[ti], time.Since(t0).Nanoseconds())
 	}
 	e.drained = false
 	e.cycle++
@@ -326,9 +312,9 @@ func (e *Engine) stepProfiled() {
 // recordEvent attributes the wall time since the previous reading to the
 // just-fired event's phase and returns the new reading. Chaining readings
 // costs one clock call per event instead of two.
-func (e *Engine) recordEvent(ev *event, last time.Time) time.Time {
+func (e *Engine) recordEvent(p *prof.Recorder, ev *event, last time.Time) time.Time {
 	now := time.Now()
-	e.prof.Record(e.classifyEv(ev.kind, ev.fn != nil), now.Sub(last).Nanoseconds())
+	p.Record(e.classifyEv(ev.kind, ev.fn != nil), now.Sub(last).Nanoseconds())
 	return now
 }
 
@@ -377,16 +363,11 @@ func (e *Engine) nextEventAt() (uint64, bool) {
 // With a profiler attached each Run is one throughput window in the
 // recorder's rolling series (cycles advanced over wall time).
 func (e *Engine) Run(n uint64) {
-	if e.prof != nil {
-		start, c0 := e.prof.RunStart(), e.cycle
-		e.runLoop(n)
-		e.prof.RunEnd(start, e.cycle-c0)
-		return
+	p, c0 := e.prof, e.cycle
+	var start int64
+	if p != nil {
+		start = p.RunStart()
 	}
-	e.runLoop(n)
-}
-
-func (e *Engine) runLoop(n uint64) {
 	end := e.cycle + n
 	for e.cycle < end {
 		if e.cycle+1 < end && e.idle() {
@@ -405,29 +386,29 @@ func (e *Engine) runLoop(n uint64) {
 		}
 		e.Step()
 	}
+	if p != nil {
+		p.RunEnd(start, e.cycle-c0)
+	}
 }
 
 // RunUntil advances the simulation until done reports true or the cycle
 // limit is reached. It returns true if done became true before the limit.
 // Like Run, a profiled RunUntil records one throughput window.
 func (e *Engine) RunUntil(done func() bool, limit uint64) bool {
-	if e.prof != nil {
-		start, c0 := e.prof.RunStart(), e.cycle
-		ok := e.runUntilLoop(done, limit)
-		e.prof.RunEnd(start, e.cycle-c0)
-		return ok
+	p, c0 := e.prof, e.cycle
+	var start int64
+	if p != nil {
+		start = p.RunStart()
 	}
-	return e.runUntilLoop(done, limit)
-}
-
-func (e *Engine) runUntilLoop(done func() bool, limit uint64) bool {
-	for e.cycle < limit {
-		if done() {
-			return true
-		}
+	ok := done()
+	for !ok && e.cycle < limit {
 		e.Step()
+		ok = done()
 	}
-	return done()
+	if p != nil {
+		p.RunEnd(start, e.cycle-c0)
+	}
+	return ok
 }
 
 // pushOverflow inserts an event into the overflow min-heap, ordered by

@@ -234,7 +234,8 @@ func WriteChromeTraceMeta(w io.Writer, events []TraceEvent, meta TraceMeta) erro
 	return obs.WriteChromeTraceMeta(w, events, meta)
 }
 
-// SpanRecorder accumulates per-transaction latency spans; see AttachSpans.
+// SpanRecorder accumulates per-transaction latency spans; see
+// Instruments.RecordSpans.
 type SpanRecorder = obs.SpanRecorder
 
 // LatencyBreakdown is the aggregate per-component L2 latency decomposition
@@ -246,8 +247,8 @@ type LatencyBreakdown = obs.BreakdownReport
 // ComponentStat summarizes one latency component over a transaction class.
 type ComponentStat = obs.ComponentStat
 
-// MetricsSampler takes periodic interval-metrics snapshots; read the
-// accumulated table with Series().
+// MetricsSampler takes periodic interval-metrics snapshots
+// (Instruments.SampleInterval); read the accumulated table with Series().
 type MetricsSampler = obs.Sampler
 
 // MetricsSeries is a sampled metrics table with CSV/JSON export.
@@ -264,27 +265,42 @@ func (s *Simulation) AttachTracer(sink TraceSink) {
 	s.sys.AttachTracer(sink)
 }
 
-// ThermalTracker is the activity-driven power/thermal pipeline; see
-// AttachThermal.
-type ThermalTracker = obs.ThermalTracker
+// Instruments selects the observers a simulation attaches — the metrics
+// sampler, the thermal pipeline (with the DTM controller on a managed
+// Config), state digests, transaction spans, and the host profiler —
+// each adding its report to Results. The zero value attaches nothing.
+type Instruments = core.Instruments
+
+// Instrument attaches the observers in. It owns their timing and order:
+// spans and the profiler attach at once, so request them before the
+// settle run; thermal, digests and the sampler (in that order, so the
+// sampler carries the thermal and digest columns) attach at the next
+// ResetStats when requested before Start, at once after it. It errors on
+// a request it cannot honour: a DTM policy without a thermal interval,
+// unparseable DTM strings, or thermal or digests requested after the
+// sampler. Every observer is non-perturbing: Results, minus the reports
+// they add, are bit-identical to an uninstrumented run.
+func (s *Simulation) Instrument(in Instruments) error { return s.sys.Instrument(in) }
+
+// Sampler returns the attached metrics sampler, or nil.
+func (s *Simulation) Sampler() *MetricsSampler { return s.sys.Sampler() }
+
+// Spans returns the attached span recorder, or nil. Give it a trace sink
+// (SpanRecorder.SetSink) to stream each attributed interval as an EvSpan
+// TraceEvent; WriteChromeTrace renders those as per-CPU Perfetto tracks.
+func (s *Simulation) Spans() *SpanRecorder { return s.sys.Spans() }
+
+// Profiler returns the attached host-side phase profiler, or nil.
+func (s *Simulation) Profiler() *ProfileRecorder { return s.sys.Profiler() }
+
+// DigestRecorder returns the attached state-digest recorder, or nil.
+func (s *Simulation) DigestRecorder() *DigestRecorder { return s.sys.DigestRecorder() }
 
 // ThermalReport is the run-level transient-thermal summary appearing in
 // Results.Thermal when a thermal tracker is attached: peak temperature and
 // where/when it occurred, time above threshold, per-layer profile, the
 // inter-layer gradient, and the Table-1 energy breakdown by component.
 type ThermalReport = obs.ThermalReport
-
-// AttachThermal attaches the activity-driven power and transient thermal
-// pipeline: probe events are charged with Table 1 energies into a per-cell
-// window, and every interval cycles the window's power map drives one
-// transient RC step of the 3D thermal grid (whose steady-state limit is
-// the Table 3 solver). Attach at the start of the window to track —
-// typically right after ResetStats — and before AttachSampler if the
-// sampler should carry the thermal columns. Results gains the run-level
-// ThermalReport.
-func (s *Simulation) AttachThermal(interval uint64) *ThermalTracker {
-	return s.sys.AttachThermal(interval)
-}
 
 // WriteCounterTrace exports a sampled metrics series as Perfetto counter
 // tracks ("ph":"C"), so power, temperature, and rate metrics can be
@@ -294,15 +310,11 @@ func WriteCounterTrace(w io.Writer, ts *MetricsSeries) error {
 }
 
 // WriteThermalMap renders per-layer ASCII temperature maps of the attached
-// thermal tracker's grid, with CPU cells marked. It errors when
-// AttachThermal was never called.
+// thermal tracker's grid, with CPU cells marked. It errors when no thermal
+// pipeline is attached (Instruments.ThermalInterval).
 func (s *Simulation) WriteThermalMap(w io.Writer) error {
 	return s.sys.WriteThermalMap(w)
 }
-
-// DTMController is the runtime dynamic-thermal-management policy engine;
-// see AttachDTM.
-type DTMController = dtm.Controller
 
 // DTMPolicy is a composable bitmask of DTM actuators; parse flag values
 // with ParseDTMPolicy.
@@ -317,8 +329,8 @@ const (
 	DTMAll           = dtm.PolicyAll
 )
 
-// ParseDTMPolicy parses a policy specification: "" or "none", "all", or
-// a comma-separated subset of veto, drowsy, duty, reroute.
+// ParseDTMPolicy parses a policy specification: "", "none" or "off",
+// "all", or a comma-separated subset of veto, drowsy, duty, reroute.
 func ParseDTMPolicy(s string) (DTMPolicy, error) { return dtm.ParsePolicy(s) }
 
 // DTMReport is the run-level dynamic-thermal-management summary appearing
@@ -328,50 +340,10 @@ func ParseDTMPolicy(s string) (DTMPolicy, error) { return dtm.ParsePolicy(s) }
 // managed run still overshot the trip point.
 type DTMReport = dtm.Report
 
-// AttachDTM closes the thermal loop: it builds a DTM controller from the
-// Config's DTMPolicy/TripTempC/DutyCycle fields, attaches the thermal
-// pipeline at the given step interval if none is attached yet, and wires
-// the policy actuators into the machine — cache-line migration steps
-// toward hot cells are vetoed, banks on hot cells turn drowsy (leakage
-// cut, wakeup latency), hot cores duty-cycle their issue slots, and
-// cross-layer traffic is biased away from hot pillar columns. Attach in
-// place of AttachThermal at the start of the window to manage; Results
-// gains both the Thermal and the DTM reports. It errors on an
-// unparseable DTMPolicy or DutyCycle. Policy decisions are functions of
-// thermal-step-boundary grid state, so managed runs stay deterministic;
-// a run with no policy named is bit-identical to an unmanaged run.
-func (s *Simulation) AttachDTM(interval uint64) (*DTMController, error) {
-	return s.sys.AttachDTM(interval)
-}
-
-// AttachSpans attaches a transaction span recorder: every L2 transaction
-// issued from now on carries a component ledger tiling its whole lifetime
-// — search rounds, per-hop network queueing vs link traversal, dTDMA
-// pillar arbitration vs transfer, tag and bank service, DRAM — and
-// Results gains the aggregate Breakdown. Attach before the measurement
-// window (ResetStats resets the recorder's aggregates along with the other
-// statistics). Give the recorder a trace sink (SpanRecorder.SetSink) to
-// stream each attributed interval as an EvSpan TraceEvent; WriteChromeTrace
-// renders those as per-CPU Perfetto span tracks. Recording is pooled and
-// keeps idle-cycle skipping engaged; an unattached simulation pays nothing.
-func (s *Simulation) AttachSpans() *SpanRecorder {
-	return s.sys.AttachSpans()
-}
-
-// AttachSampler registers an interval metrics sampler ticking every
-// interval cycles: counter deltas (hits, misses, migration rate, ...), L2
-// hit-latency mean and P95 over the interval, mesh router utilization, and
-// per-pillar bus occupancy. Attach it at the start of the window you want
-// sampled (typically right after ResetStats); see core.System.AttachSampler
-// for the column reference.
-func (s *Simulation) AttachSampler(interval uint64) *MetricsSampler {
-	return s.sys.AttachSampler(interval)
-}
-
 // --- Host-side profiling (internal/prof) --------------------------------
 
 // ProfileRecorder is the host-side phase profiler ("flight recorder");
-// see AttachProfile. Read it out with Report (full readout, including
+// see Instruments.Profile. Read it out with Report (full readout, including
 // the table renderer behind `nimsim -profile`) or stream the rolling
 // throughput windows as a Perfetto host timeline with WriteTimeline.
 type ProfileRecorder = prof.Recorder
@@ -382,22 +354,10 @@ type ProfileRecorder = prof.Recorder
 // host provenance (GOOS/GOARCH, CPU count, Go version).
 type ProfileReport = prof.Report
 
-// AttachProfile attaches the host-side phase profiler: every subsequent
-// Run is wall-clock-attributed across the simulation loop's phases (CPU
-// events, protocol events, network, thermal, sampler, engine
-// bookkeeping). Results gains the Profile report.
-//
-// Profiling is host-side only and provably non-perturbing: an attached
-// run's Results (Profile field aside) are bit-identical to a detached
-// run's, for every scheme. Attach before Warm to attribute the whole
-// run; idempotent.
-func (s *Simulation) AttachProfile() *ProfileRecorder {
-	return s.sys.AttachProfile()
-}
-
 // --- State digests (internal/digest) ------------------------------------
 
-// DigestRecorder is the incremental state-digest engine; see AttachDigest.
+// DigestRecorder is the incremental state-digest engine; see
+// Instruments.DigestInterval.
 // Read the final digest with Digest(), the full snapshot stream with
 // Records().
 type DigestRecorder = digest.Recorder
@@ -411,25 +371,6 @@ type DigestReport = digest.Report
 // DigestRecord is one digest snapshot: a cycle plus cumulative per-lane
 // and overall digests.
 type DigestRecord = digest.Record
-
-// AttachDigest registers a periodic state-digest recorder: every
-// interval cycles it folds every stateful subsystem — CPUs and L1s, L2
-// tags and the MSI directory, router queues and in-flight packets,
-// dTDMA slot state, the event engine, the thermal grid and DTM masks,
-// the trace RNGs — into per-subsystem hash chains, chained into one
-// run-attesting digest. Two runs whose digests agree were in identical
-// simulated state at every snapshot; when they disagree, the
-// per-subsystem chains name where state first differed (see Diverge).
-//
-// Attach right after ResetStats so the stream covers exactly the
-// measurement window, and before AttachSampler if the sampler should
-// carry the digest columns. Results gains the Digests report. Digesting
-// is a pure observation — Results (Digests field aside) are
-// bit-identical to an unattached run — and the record path is
-// allocation-free in steady state. Idempotent.
-func (s *Simulation) AttachDigest(interval uint64) *DigestRecorder {
-	return s.sys.AttachDigest(interval)
-}
 
 // DivergeReport locates where two configurations' digest streams first
 // disagree; see Diverge.

@@ -1,10 +1,12 @@
 // End-to-end tests of the observability surface: AttachTracer and
-// AttachSampler on a real simulation, the Chrome trace export, and the
-// WriteHeatmap / WriteBusReport text reports.
+// Instrument on a real simulation, the observer non-perturbation
+// contract, the Chrome trace export, and the WriteHeatmap /
+// WriteBusReport text reports.
 package nim_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"strconv"
 	"strings"
@@ -13,21 +15,28 @@ import (
 	nim "repro"
 )
 
-// observedSim builds, warms, and settles the default 3D machine so the
-// observability tests all measure the same steady state.
-func observedSim(t testing.TB) *nim.Simulation {
+// newSim builds a simulation of cfg running mgrid on every core, requests
+// in before Start, then warms and starts it.
+func newSim(t testing.TB, cfg nim.Config, seed uint64, in nim.Instruments) *nim.Simulation {
 	t.Helper()
-	cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
-	bench, ok := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-	if !ok {
-		t.Fatal("mgrid missing")
+	bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
+	sim, err := nim.NewSimulation(cfg, bench, seed)
+	if err == nil {
+		err = sim.Instrument(in)
 	}
-	sim, err := nim.NewSimulation(cfg, bench, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.Warm()
 	sim.Start()
+	return sim
+}
+
+// observedSim builds, warms, and settles the default 3D machine so the
+// observability tests all measure the same steady state.
+func observedSim(t testing.TB) *nim.Simulation {
+	t.Helper()
+	sim := newSim(t, nim.DefaultConfig(nim.CMPDNUCA3D), 7, nim.Instruments{})
 	sim.Run(10_000)
 	sim.ResetStats()
 	return sim
@@ -99,7 +108,10 @@ func TestAttachTracerDetach(t *testing.T) {
 
 func TestAttachSamplerEndToEnd(t *testing.T) {
 	sim := observedSim(t)
-	sampler := sim.AttachSampler(1_000)
+	if err := sim.Instrument(nim.Instruments{SampleInterval: 1_000}); err != nil {
+		t.Fatal(err)
+	}
+	sampler := sim.Sampler()
 	sim.Run(30_000)
 	r := sim.Results()
 
@@ -246,8 +258,9 @@ func TestWriteBusReportContent(t *testing.T) {
 
 func TestAttachThermalEndToEnd(t *testing.T) {
 	sim := observedSim(t)
-	tracker := sim.AttachThermal(1_000)
-	sampler := sim.AttachSampler(1_000)
+	if err := sim.Instrument(nim.Instruments{ThermalInterval: 1_000, SampleInterval: 1_000}); err != nil {
+		t.Fatal(err)
+	}
 	sim.Run(30_000)
 	r := sim.Results()
 
@@ -283,7 +296,7 @@ func TestAttachThermalEndToEnd(t *testing.T) {
 
 	// The sampler, attached after the tracker, must carry the thermal
 	// columns with live values.
-	ts := sampler.Series()
+	ts := sim.Sampler().Series()
 	for _, want := range []string{"power_w", "p_cpu_w", "p_net_w", "t_peak_l0", "t_mean_l1", "t_hot_c", "flit_hops", "bus_flits"} {
 		if !slicesContains(ts.Header, want) {
 			t.Errorf("sampler header %v missing thermal column %q", ts.Header, want)
@@ -318,7 +331,6 @@ func TestAttachThermalEndToEnd(t *testing.T) {
 	if strings.Count(out, "C") < cfg.NumCPUs {
 		t.Errorf("thermal map marks %d CPU cells, want >= %d", strings.Count(out, "C"), cfg.NumCPUs)
 	}
-	_ = tracker
 }
 
 // TestThermalMapRequiresTracker pins the error path: rendering without an
@@ -330,33 +342,77 @@ func TestThermalMapRequiresTracker(t *testing.T) {
 	}
 }
 
-// TestThermalDoesNotPerturb is the telemetry contract: attaching the
-// power/thermal pipeline observes the machine without changing it, so every
-// architectural result is bit-identical to an unobserved run.
-func TestThermalDoesNotPerturb(t *testing.T) {
-	run := func(attach bool) nim.Results {
-		cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
-		bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-		sim, err := nim.NewSimulation(cfg, bench, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Warm()
-		sim.Start()
-		sim.Run(5_000)
-		sim.ResetStats()
-		if attach {
-			sim.AttachThermal(1_000)
-		}
-		sim.Run(20_000)
-		return sim.Results()
+// instrumentedRun is one short measured run of the kind every observer
+// contract is checked on: seed 3, 5k settle cycles, then 20k measured
+// cycles, with in requested before Start so the window instruments attach
+// at the stats reset. A non-zero chunk cuts the measured window into Run
+// calls of that many cycles, the way the runner executes a job with a
+// progress hook; tracer attaches a trace ring for the measured window.
+type instrumentedRun struct {
+	cfg    nim.Config
+	in     nim.Instruments
+	chunk  uint64
+	tracer bool
+}
+
+func (ir instrumentedRun) results(t testing.TB) nim.Results {
+	t.Helper()
+	sim := newSim(t, ir.cfg, 3, ir.in)
+	sim.Run(5_000)
+	sim.ResetStats()
+	if ir.tracer {
+		sim.AttachTracer(nim.NewTraceRing(1 << 16))
 	}
-	plain, observed := run(false), run(true)
-	observed.Thermal = nil // the report itself is the only allowed difference
-	pj, _ := json.Marshal(plain)
-	oj, _ := json.Marshal(observed)
-	if !bytes.Equal(pj, oj) {
-		t.Fatalf("thermal attachment changed results:\nplain    %s\nobserved %s", pj, oj)
+	const window = 20_000
+	for done, chunk := uint64(0), cmp.Or(ir.chunk, window); done < window; done += chunk {
+		sim.Run(min(chunk, window-done))
+	}
+	return sim.Results()
+}
+
+// checkNoPerturb is the contract every observer meets: it observes the
+// machine without changing it, so the observed run's Results equal the
+// plain run's byte for byte once every instrument report (Breakdown,
+// Thermal, DTM, Profile, Digests) is stripped from both. It returns the
+// observed run's Results, reports intact.
+func checkNoPerturb(t *testing.T, plain, observed instrumentedRun) nim.Results {
+	t.Helper()
+	strip := func(r nim.Results) []byte {
+		r.Breakdown, r.Thermal, r.DTM, r.Profile, r.Digests = nil, nil, nil, nil, nil
+		b, _ := json.Marshal(r)
+		return b
+	}
+	got := observed.results(t)
+	if pj, oj := strip(plain.results(t)), strip(got); !bytes.Equal(pj, oj) {
+		t.Fatalf("observers changed results:\nplain    %s\nobserved %s", pj, oj)
+	}
+	return got
+}
+
+// TestThermalDoesNotPerturb is the telemetry contract for the
+// power/thermal pipeline.
+func TestThermalDoesNotPerturb(t *testing.T) {
+	cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
+	observed := instrumentedRun{cfg: cfg, in: nim.Instruments{ThermalInterval: 1_000}}
+	if checkNoPerturb(t, instrumentedRun{cfg: cfg}, observed).Thermal == nil {
+		t.Fatal("thermal run returned no Thermal report")
+	}
+}
+
+// TestInstrumentsDoNotPerturb holds the combinations the per-observer
+// tests leave out to the same contract, on every scheme: the sampler
+// alone, spans alone, and every instrument at once with the tracer.
+func TestInstrumentsDoNotPerturb(t *testing.T) {
+	all := nim.Instruments{SampleInterval: 1_000, ThermalInterval: 1_000, DigestInterval: 1_000, RecordSpans: true, Profile: true}
+	for _, scheme := range nim.Schemes() {
+		cfg := nim.DefaultConfig(scheme)
+		for name, observed := range map[string]instrumentedRun{
+			"sampler":    {cfg: cfg, in: nim.Instruments{SampleInterval: 1_000}},
+			"spans":      {cfg: cfg, in: nim.Instruments{RecordSpans: true}},
+			"all+tracer": {cfg: cfg, in: all, tracer: true},
+		} {
+			t.Run(scheme.String()+"/"+name, func(t *testing.T) { checkNoPerturb(t, instrumentedRun{cfg: cfg}, observed) })
+		}
 	}
 }
 
