@@ -5,17 +5,20 @@
 //
 // Usage:
 //
-//	experiments -all                 # everything (several minutes)
+//	experiments -all                 # everything (under a minute on 2 cores)
 //	experiments -table 3             # one table (1..5)
 //	experiments -figure 13           # one figure (13..18)
 //	experiments -bench mgrid,swim    # restrict figure benchmarks
 //	experiments -measure 400000      # larger statistics window
 //	experiments -all -parallel 8     # fan independent runs over 8 workers
 //
-// Every simulation is deterministic in its seed and self-contained, so
-// -parallel only changes wall-clock time: the printed output is
-// byte-identical for any worker count (-parallel 1 runs strictly
-// sequentially, the historical behavior).
+// The command plans before it prints: every selected section declares the
+// simulations it needs, all of them run as one sweep on -parallel workers
+// with each distinct simulation run once, and the sections print in order
+// as their simulations finish. Every simulation is deterministic in its
+// seed and self-contained, so -parallel only changes wall-clock time: the
+// printed output is byte-identical for any worker count (-parallel 1 runs
+// strictly sequentially).
 package main
 
 import (
@@ -55,8 +58,11 @@ func main() {
 	)
 	flag.Parse()
 
-	opt := nim.Options{WarmCycles: *warm, MeasureCycles: *measure, Seed: *seed, Parallel: *parallel}
-	names := benchNames(*benches)
+	names, err := benchNames(*benches)
+	if err != nil {
+		fatal(err)
+	}
+	opt := nim.Options{WarmCycles: *warm, MeasureCycles: *measure, Seed: *seed}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fatal(err)
@@ -64,90 +70,171 @@ func main() {
 		csvOut = *csvDir
 	}
 
-	ran := false
-	do := func(n int, sel *int, f func()) {
-		if *all || *sel == n {
-			f()
-			ran = true
-		}
-	}
-	do(1, table, table1)
-	do(2, table, table2)
-	do(3, table, table3)
-	do(4, table, table4)
-	do(5, table, table5)
-	do(13, figure, func() { figures131415(names, opt) })
-	do(16, figure, func() { figure16(names, opt) })
-	do(17, figure, func() { figure17(names, opt) })
-	do(18, figure, func() { figure18(names, opt) })
-	// Figures 13, 14 and 15 come from the same runs.
-	if !*all && (*figure == 14 || *figure == 15) {
-		figures131415(names, opt)
-		ran = true
-	}
-	if *ablate || *all {
-		ablations(opt)
-		ran = true
-	}
-	if *brkdown || *all {
-		breakdowns(names, opt)
-		ran = true
-	}
-	if *thermRun || *all {
-		thermalStudy(opt)
-		ran = true
-	}
-	if *dtmRun || *all {
-		dtmStudy(opt)
-		ran = true
-	}
-	if *seeds > 1 {
-		confidence(names, opt, *seeds)
-		ran = true
-	}
-	if *scaling {
-		cpuScaling(opt)
-		ran = true
-	}
-	// Deliberately not part of -all: the numbers are wall-clock on this
-	// host, so including them would make -all's output machine-dependent.
-	if *profRun {
-		profileStudy(opt)
-		ran = true
-	}
-
-	if !ran {
+	secs := sections(selection{
+		all: *all, table: *table, figure: *figure, seeds: *seeds,
+		ablations: *ablate, breakdown: *brkdown, thermal: *thermRun, dtm: *dtmRun, scaling: *scaling,
+	}, names, opt)
+	if len(secs) == 0 && !*profRun {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := newPlan(secs).run(*parallel); err != nil {
+		fatal(err)
+	}
+	// Deliberately not part of -all: the numbers are wall-clock on this
+	// host, so including them would make -all's output machine-dependent.
+	// It runs alone, after the plan has drained, for the same reason.
+	if *profRun {
+		profileStudy(opt)
+	}
 }
 
-func benchNames(list string) []string {
+// benchNames parses -bench: every benchmark when list is empty, else the
+// listed names, each of which must name a SPEC OMP benchmark.
+func benchNames(list string) ([]string, error) {
 	if list == "" {
 		var names []string
 		for _, p := range nim.Benchmarks(8) {
 			names = append(names, p.Name)
 		}
-		return names
+		return names, nil
 	}
-	return strings.Split(list, ",")
+	names := strings.Split(list, ",")
+	for _, n := range names {
+		if _, ok := nim.BenchmarkByName(n, 8); !ok {
+			return nil, fmt.Errorf("unknown benchmark %q", n)
+		}
+	}
+	return names, nil
 }
 
-// sweep fans a slice of independent simulation jobs over opt.Parallel
-// workers and returns their Results in input order, exiting on the first
-// failed job. Because job order is preserved and every simulation is
-// seed-deterministic, the caller's printed output does not depend on the
-// worker count.
-func sweep(jobs []nim.SweepJob, opt nim.Options) []nim.Results {
-	rs := nim.RunSweep(jobs, opt.Parallel, nil)
-	if err := nim.SweepError(rs); err != nil {
-		fatal(err)
+// selection is what the command line asked to print.
+type selection struct {
+	all                                         bool
+	table, figure, seeds                        int
+	ablations, breakdown, thermal, dtm, scaling bool
+}
+
+// sections returns the selected sections in print order.
+func sections(sel selection, names []string, opt nim.Options) []section {
+	var secs []section
+	for n, table := range []func(){table1, table2, table3, table4, table5} {
+		if sel.all || sel.table == n+1 {
+			secs = append(secs, section{render: func([]nim.Results) { table() }})
+		}
 	}
-	out := make([]nim.Results, len(rs))
-	for i, r := range rs {
-		out[i] = r.Results
+	// Figures 13, 14 and 15 come from the same runs.
+	if sel.all || sel.figure >= 13 && sel.figure <= 15 {
+		secs = append(secs, figures131415(names, opt))
 	}
-	return out
+	for n, figure := range []func([]string, nim.Options) section{figure16, figure17, figure18} {
+		if sel.all || sel.figure == n+16 {
+			secs = append(secs, figure(names, opt))
+		}
+	}
+	if sel.all || sel.ablations {
+		secs = append(secs, ablations(opt))
+	}
+	if sel.all || sel.breakdown {
+		secs = append(secs, breakdowns(names, opt))
+	}
+	if sel.all || sel.thermal {
+		secs = append(secs, thermalStudy(opt))
+	}
+	if sel.all || sel.dtm {
+		secs = append(secs, dtmStudy(opt))
+	}
+	if sel.seeds > 1 {
+		secs = append(secs, confidence(names, opt, sel.seeds))
+	}
+	if sel.scaling {
+		secs = append(secs, cpuScaling(opt))
+	}
+	return secs
+}
+
+// A section is one printed part of the output: the simulations it needs
+// and a function that prints it from their Results, given in job order.
+type section struct {
+	jobs   []nim.SweepJob
+	render func(res []nim.Results)
+}
+
+// plan runs the simulations of a list of sections as one sweep in which
+// each distinct simulation runs once. Every simulation is deterministic in
+// its job, so two sections asking for the same job get the same Results
+// whether it runs once or twice; sections only read Results, so sharing
+// one run's value among them is safe.
+//
+// The deduplication lives here, not in internal/runner or nim.RunSweep:
+// runner.Diverge deliberately runs two identical jobs as two independent
+// runs to audit determinism, and merging them would turn the audit into a
+// self-comparison.
+type plan struct {
+	secs []section
+	jobs []nim.SweepJob // the distinct jobs, in order of first request
+	uses [][]int        // uses[s][i] indexes jobs for section s's job i
+}
+
+// jobKey is everything that determines a job's Results. The command's jobs
+// set no Label, hooks or Profile: the first two are outside the key, and a
+// profiled run's Results hold wall-clock numbers that differ run to run.
+type jobKey struct {
+	cfg                 nim.Config
+	bench               string
+	warm, measure, seed uint64
+	in                  nim.Instruments
+}
+
+func newPlan(secs []section) *plan {
+	p := &plan{secs: secs, uses: make([][]int, len(secs))}
+	first := map[jobKey]int{}
+	for s, sec := range secs {
+		for _, j := range sec.jobs {
+			k := jobKey{j.Config, j.Benchmark, j.WarmCycles, j.MeasureCycles, j.Seed, j.Instruments}
+			i, ok := first[k]
+			if !ok {
+				i = len(p.jobs)
+				first[k] = i
+				p.jobs = append(p.jobs, j)
+			}
+			p.uses[s] = append(p.uses[s], i)
+		}
+	}
+	return p
+}
+
+// run executes the plan's distinct jobs in one sweep on parallel workers
+// and prints each section, in order, as soon as its own jobs and every
+// earlier section's are done, so a long run streams section by section.
+// A failed job stops the printing before its section; run returns that
+// job's error once the sweep has drained.
+func (p *plan) run(parallel int) error {
+	res := make([]nim.SweepResult, len(p.jobs))
+	done := make([]bool, len(p.jobs))
+	next := 0
+	var err error
+	flush := func() {
+		for ; err == nil && next < len(p.secs); next++ {
+			rs := make([]nim.Results, len(p.uses[next]))
+			for i, j := range p.uses[next] {
+				if !done[j] {
+					return
+				}
+				if err = res[j].Err; err != nil {
+					return
+				}
+				rs[i] = res[j].Results
+			}
+			p.secs[next].render(rs)
+		}
+	}
+	flush() // sections without jobs, such as the tables, print at once
+	nim.RunSweep(p.jobs, parallel, func(_, _ int, r nim.SweepResult) {
+		res[r.Index], done[r.Index] = r, true
+		flush()
+	})
+	return err
 }
 
 // csvOut, when non-empty, receives one CSV file per figure.
@@ -247,11 +334,7 @@ func table5() {
 	}
 }
 
-func figures131415(names []string, opt nim.Options) {
-	header("Figures 13/14/15: L2 hit latency, migrations, IPC under the four schemes")
-	// One job per benchmark x scheme; the sweep runner fans them out and
-	// hands results back in input order, so the tables print identically
-	// at any -parallel width.
+func figures131415(names []string, opt nim.Options) section {
 	schemes := nim.Schemes()
 	var jobs []nim.SweepJob
 	for _, b := range names {
@@ -259,60 +342,62 @@ func figures131415(names []string, opt nim.Options) {
 			jobs = append(jobs, nim.NewSweepJob(nim.DefaultConfig(s), b, opt))
 		}
 	}
-	res := sweep(jobs, opt)
-	var rows []schemeRow
-	for i, b := range names {
-		m := make(map[nim.Scheme]nim.Results, len(schemes))
-		for j, s := range schemes {
-			m[s] = res[i*len(schemes)+j]
+	return section{jobs, func(res []nim.Results) {
+		header("Figures 13/14/15: L2 hit latency, migrations, IPC under the four schemes")
+		var rows []schemeRow
+		for i, b := range names {
+			m := make(map[nim.Scheme]nim.Results, len(schemes))
+			for j, s := range schemes {
+				m[s] = res[i*len(schemes)+j]
+			}
+			rows = append(rows, schemeRow{b, m})
 		}
-		rows = append(rows, schemeRow{b, m})
-	}
 
-	fmt.Println("\nFigure 13: average L2 hit latency (cycles)")
-	printSchemeTable(rows, func(r nim.Results) string { return fmt.Sprintf("%8.1f", r.AvgL2HitLatency) })
-	csvRows := [][]string{{"benchmark", "cmp-dnuca", "cmp-dnuca-2d", "cmp-snuca-3d", "cmp-dnuca-3d"}}
-	csvIPC := [][]string{{"benchmark", "cmp-dnuca", "cmp-dnuca-2d", "cmp-snuca-3d", "cmp-dnuca-3d"}}
-	csvMig := [][]string{{"benchmark", "cmp-dnuca", "cmp-dnuca-2d", "cmp-dnuca-3d"}}
-	for _, r := range rows {
-		csvRows = append(csvRows, []string{r.bench,
-			f1(r.results[nim.CMPDNUCA].AvgL2HitLatency), f1(r.results[nim.CMPDNUCA2D].AvgL2HitLatency),
-			f1(r.results[nim.CMPSNUCA3D].AvgL2HitLatency), f1(r.results[nim.CMPDNUCA3D].AvgL2HitLatency)})
-		csvIPC = append(csvIPC, []string{r.bench,
-			f1(r.results[nim.CMPDNUCA].IPC), f1(r.results[nim.CMPDNUCA2D].IPC),
-			f1(r.results[nim.CMPSNUCA3D].IPC), f1(r.results[nim.CMPDNUCA3D].IPC)})
-		csvMig = append(csvMig, []string{r.bench,
-			u(r.results[nim.CMPDNUCA].Migrations), u(r.results[nim.CMPDNUCA2D].Migrations),
-			u(r.results[nim.CMPDNUCA3D].Migrations)})
-	}
-	writeCSV("figure13_l2_hit_latency", csvRows)
-	writeCSV("figure14_migrations", csvMig)
-	writeCSV("figure15_ipc", csvIPC)
-
-	fmt.Println("\nFigure 14: block migrations, normalized to CMP-DNUCA-2D")
-	printSchemeTableSel(rows, []nim.Scheme{nim.CMPDNUCA, nim.CMPDNUCA3D}, func(res map[nim.Scheme]nim.Results, s nim.Scheme) string {
-		base := float64(res[nim.CMPDNUCA2D].Migrations)
-		if base == 0 {
-			return fmt.Sprintf("%8s", "n/a")
+		fmt.Println("\nFigure 13: average L2 hit latency (cycles)")
+		printSchemeTable(rows, func(r nim.Results) string { return fmt.Sprintf("%8.1f", r.AvgL2HitLatency) })
+		csvRows := [][]string{{"benchmark", "cmp-dnuca", "cmp-dnuca-2d", "cmp-snuca-3d", "cmp-dnuca-3d"}}
+		csvIPC := [][]string{{"benchmark", "cmp-dnuca", "cmp-dnuca-2d", "cmp-snuca-3d", "cmp-dnuca-3d"}}
+		csvMig := [][]string{{"benchmark", "cmp-dnuca", "cmp-dnuca-2d", "cmp-dnuca-3d"}}
+		for _, r := range rows {
+			csvRows = append(csvRows, []string{r.bench,
+				f1(r.results[nim.CMPDNUCA].AvgL2HitLatency), f1(r.results[nim.CMPDNUCA2D].AvgL2HitLatency),
+				f1(r.results[nim.CMPSNUCA3D].AvgL2HitLatency), f1(r.results[nim.CMPDNUCA3D].AvgL2HitLatency)})
+			csvIPC = append(csvIPC, []string{r.bench,
+				f1(r.results[nim.CMPDNUCA].IPC), f1(r.results[nim.CMPDNUCA2D].IPC),
+				f1(r.results[nim.CMPSNUCA3D].IPC), f1(r.results[nim.CMPDNUCA3D].IPC)})
+			csvMig = append(csvMig, []string{r.bench,
+				u(r.results[nim.CMPDNUCA].Migrations), u(r.results[nim.CMPDNUCA2D].Migrations),
+				u(r.results[nim.CMPDNUCA3D].Migrations)})
 		}
-		return fmt.Sprintf("%8.2f", float64(res[s].Migrations)/base)
-	})
+		writeCSV("figure13_l2_hit_latency", csvRows)
+		writeCSV("figure14_migrations", csvMig)
+		writeCSV("figure15_ipc", csvIPC)
 
-	fmt.Println("\nFigure 15: IPC")
-	printSchemeTable(rows, func(r nim.Results) string { return fmt.Sprintf("%8.3f", r.IPC) })
+		fmt.Println("\nFigure 14: block migrations, normalized to CMP-DNUCA-2D")
+		printSchemeTableSel(rows, []nim.Scheme{nim.CMPDNUCA, nim.CMPDNUCA3D}, func(res map[nim.Scheme]nim.Results, s nim.Scheme) string {
+			base := float64(res[nim.CMPDNUCA2D].Migrations)
+			if base == 0 {
+				return fmt.Sprintf("%8s", "n/a")
+			}
+			return fmt.Sprintf("%8.2f", float64(res[s].Migrations)/base)
+		})
 
-	// The abstract's headline numbers for this run.
-	var d2, s3, d3 float64
-	var n int
-	for _, r := range rows {
-		d2 += r.results[nim.CMPDNUCA2D].AvgL2HitLatency
-		s3 += r.results[nim.CMPSNUCA3D].AvgL2HitLatency
-		d3 += r.results[nim.CMPDNUCA3D].AvgL2HitLatency
-		n++
-	}
-	fmt.Printf("\nAverages over %d benchmarks: DNUCA-2D %.1f, SNUCA-3D %.1f (-%.1f), DNUCA-3D %.1f (-%.1f more)\n",
-		n, d2/float64(n), s3/float64(n), (d2-s3)/float64(n), d3/float64(n), (s3-d3)/float64(n))
-	fmt.Printf("(paper: SNUCA-3D ~10 cycles below DNUCA-2D; DNUCA-3D ~7 below SNUCA-3D)\n")
+		fmt.Println("\nFigure 15: IPC")
+		printSchemeTable(rows, func(r nim.Results) string { return fmt.Sprintf("%8.3f", r.IPC) })
+
+		// The abstract's headline numbers for this run.
+		var d2, s3, d3 float64
+		var n int
+		for _, r := range rows {
+			d2 += r.results[nim.CMPDNUCA2D].AvgL2HitLatency
+			s3 += r.results[nim.CMPSNUCA3D].AvgL2HitLatency
+			d3 += r.results[nim.CMPDNUCA3D].AvgL2HitLatency
+			n++
+		}
+		fmt.Printf("\nAverages over %d benchmarks: DNUCA-2D %.1f, SNUCA-3D %.1f (-%.1f), DNUCA-3D %.1f (-%.1f more)\n",
+			n, d2/float64(n), s3/float64(n), (d2-s3)/float64(n), d3/float64(n), (s3-d3)/float64(n))
+		fmt.Printf("(paper: SNUCA-3D ~10 cycles below DNUCA-2D; DNUCA-3D ~7 below SNUCA-3D)\n")
+	}}
 }
 
 type schemeRow struct {
@@ -354,8 +439,7 @@ func printSchemeTableSel(rows []schemeRow, schemes []nim.Scheme, cell func(map[n
 // galgel (low L1 miss rates), mgrid and swim (high).
 var figure16Benches = []string{"art", "galgel", "mgrid", "swim"}
 
-func figure16(names []string, opt nim.Options) {
-	header("Figure 16: L2 hit latency vs cache size (16/32/64 MB)")
+func figure16(names []string, opt nim.Options) section {
 	use := intersect(names, figure16Benches)
 	sizes := []int{16, 32, 64}
 	var jobs []nim.SweepJob
@@ -370,23 +454,24 @@ func figure16(names []string, opt nim.Options) {
 			}
 		}
 	}
-	res := sweep(jobs, opt)
-	fmt.Printf("%-10s %6s %14s %14s\n", "Benchmark", "Size", "CMP-DNUCA-2D", "CMP-DNUCA-3D")
-	csvRows := [][]string{{"benchmark", "mb", "cmp-dnuca-2d", "cmp-dnuca-3d"}}
-	for i, b := range use {
-		for j, mb := range sizes {
-			r2 := res[(i*len(sizes)+j)*2]
-			r3 := res[(i*len(sizes)+j)*2+1]
-			fmt.Printf("%-10s %4dMB %14.1f %14.1f\n", b, mb, r2.AvgL2HitLatency, r3.AvgL2HitLatency)
-			csvRows = append(csvRows, []string{b, strconv.Itoa(mb), f1(r2.AvgL2HitLatency), f1(r3.AvgL2HitLatency)})
+	return section{jobs, func(res []nim.Results) {
+		header("Figure 16: L2 hit latency vs cache size (16/32/64 MB)")
+		fmt.Printf("%-10s %6s %14s %14s\n", "Benchmark", "Size", "CMP-DNUCA-2D", "CMP-DNUCA-3D")
+		csvRows := [][]string{{"benchmark", "mb", "cmp-dnuca-2d", "cmp-dnuca-3d"}}
+		for i, b := range use {
+			for j, mb := range sizes {
+				r2 := res[(i*len(sizes)+j)*2]
+				r3 := res[(i*len(sizes)+j)*2+1]
+				fmt.Printf("%-10s %4dMB %14.1f %14.1f\n", b, mb, r2.AvgL2HitLatency, r3.AvgL2HitLatency)
+				csvRows = append(csvRows, []string{b, strconv.Itoa(mb), f1(r2.AvgL2HitLatency), f1(r3.AvgL2HitLatency)})
+			}
 		}
-	}
-	writeCSV("figure16_cache_size", csvRows)
-	fmt.Println("(paper: latency grows ~7 cycles per doubling in 2D vs ~5 in 3D)")
+		writeCSV("figure16_cache_size", csvRows)
+		fmt.Println("(paper: latency grows ~7 cycles per doubling in 2D vs ~5 in 3D)")
+	}}
 }
 
-func figure17(names []string, opt nim.Options) {
-	header("Figure 17: impact of the number of pillars (CMP-DNUCA-3D)")
+func figure17(names []string, opt nim.Options) section {
 	use := intersect(names, figure16Benches)
 	pillars := []int{8, 4, 2}
 	var jobs []nim.SweepJob
@@ -397,26 +482,27 @@ func figure17(names []string, opt nim.Options) {
 			jobs = append(jobs, nim.NewSweepJob(cfg, b, opt))
 		}
 	}
-	res := sweep(jobs, opt)
-	fmt.Printf("%-10s %10s %10s %10s\n", "Benchmark", "8 pillars", "4 pillars", "2 pillars")
-	csvRows := [][]string{{"benchmark", "pillars8", "pillars4", "pillars2"}}
-	for i, b := range use {
-		fmt.Printf("%-10s", b)
-		row := []string{b}
-		for j := range pillars {
-			r := res[i*len(pillars)+j]
-			fmt.Printf(" %9.1f", r.AvgL2HitLatency)
-			row = append(row, f1(r.AvgL2HitLatency))
+	return section{jobs, func(res []nim.Results) {
+		header("Figure 17: impact of the number of pillars (CMP-DNUCA-3D)")
+		fmt.Printf("%-10s %10s %10s %10s\n", "Benchmark", "8 pillars", "4 pillars", "2 pillars")
+		csvRows := [][]string{{"benchmark", "pillars8", "pillars4", "pillars2"}}
+		for i, b := range use {
+			fmt.Printf("%-10s", b)
+			row := []string{b}
+			for j := range pillars {
+				r := res[i*len(pillars)+j]
+				fmt.Printf(" %9.1f", r.AvgL2HitLatency)
+				row = append(row, f1(r.AvgL2HitLatency))
+			}
+			fmt.Println()
+			csvRows = append(csvRows, row)
 		}
-		fmt.Println()
-		csvRows = append(csvRows, row)
-	}
-	writeCSV("figure17_pillars", csvRows)
-	fmt.Println("(paper: moving from 8 to 2 pillars adds 1..7 cycles)")
+		writeCSV("figure17_pillars", csvRows)
+		fmt.Println("(paper: moving from 8 to 2 pillars adds 1..7 cycles)")
+	}}
 }
 
-func figure18(names []string, opt nim.Options) {
-	header("Figure 18: impact of the number of layers (CMP-SNUCA-3D)")
+func figure18(names []string, opt nim.Options) section {
 	use := intersect(names, figure16Benches)
 	layers := []int{2, 4}
 	var jobs []nim.SweepJob
@@ -427,135 +513,133 @@ func figure18(names []string, opt nim.Options) {
 			jobs = append(jobs, nim.NewSweepJob(cfg, b, opt))
 		}
 	}
-	res := sweep(jobs, opt)
-	fmt.Printf("%-10s %10s %10s\n", "Benchmark", "2 layers", "4 layers")
-	csvRows := [][]string{{"benchmark", "layers2", "layers4"}}
-	for i, b := range use {
-		fmt.Printf("%-10s", b)
-		row := []string{b}
-		for j := range layers {
-			r := res[i*len(layers)+j]
-			fmt.Printf(" %9.1f", r.AvgL2HitLatency)
-			row = append(row, f1(r.AvgL2HitLatency))
+	return section{jobs, func(res []nim.Results) {
+		header("Figure 18: impact of the number of layers (CMP-SNUCA-3D)")
+		fmt.Printf("%-10s %10s %10s\n", "Benchmark", "2 layers", "4 layers")
+		csvRows := [][]string{{"benchmark", "layers2", "layers4"}}
+		for i, b := range use {
+			fmt.Printf("%-10s", b)
+			row := []string{b}
+			for j := range layers {
+				r := res[i*len(layers)+j]
+				fmt.Printf(" %9.1f", r.AvgL2HitLatency)
+				row = append(row, f1(r.AvgL2HitLatency))
+			}
+			fmt.Println()
+			csvRows = append(csvRows, row)
 		}
-		fmt.Println()
-		csvRows = append(csvRows, row)
-	}
-	writeCSV("figure18_layers", csvRows)
-	fmt.Println("(paper: 4 layers reduce L2 latency by 3..8 cycles over 2)")
+		writeCSV("figure18_layers", csvRows)
+		fmt.Println("(paper: 4 layers reduce L2 latency by 3..8 cycles over 2)")
+	}}
 }
 
 // confidence repeats the scheme comparison across seeds and reports the
 // spread, quantifying how much of each figure is signal versus run noise.
-func confidence(names []string, opt nim.Options, seeds int) {
-	header(fmt.Sprintf("Confidence: Figure 13 across %d seeds (mean +/- stddev)", seeds))
-	fmt.Printf("%-10s", "")
-	for _, s := range nim.Schemes() {
-		fmt.Printf(" %18s", s)
-	}
-	fmt.Println()
+func confidence(names []string, opt nim.Options, seeds int) section {
+	var jobs []nim.SweepJob
 	for _, b := range names {
-		fmt.Printf("%-10s", b)
 		for _, s := range nim.Schemes() {
-			rep, err := nim.RunSchemeRepeated(s, b, opt, seeds)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf(" %11.1f+-%-5.2f", rep.Latency.Mean, rep.Latency.StdDev)
+			jobs = append(jobs, nim.SchemeRepeatedJobs(s, b, opt, seeds)...)
+		}
+	}
+	return section{jobs, func(res []nim.Results) {
+		header(fmt.Sprintf("Confidence: Figure 13 across %d seeds (mean +/- stddev)", seeds))
+		fmt.Printf("%-10s", "")
+		for _, s := range nim.Schemes() {
+			fmt.Printf(" %18s", s)
 		}
 		fmt.Println()
-	}
+		for _, b := range names {
+			fmt.Printf("%-10s", b)
+			for range nim.Schemes() {
+				rep := nim.SummarizeRepeated(res[:seeds])
+				res = res[seeds:]
+				fmt.Printf(" %11.1f+-%-5.2f", rep.Latency.Mean, rep.Latency.StdDev)
+			}
+			fmt.Println()
+		}
+	}}
 }
 
 // cpuScaling sweeps the core count with one pillar per core — the scaling
 // direction the paper's conclusion points toward.
-func cpuScaling(opt nim.Options) {
-	header("Scaling: CPU count (one pillar per core, CMP-DNUCA-3D vs CMP-SNUCA-3D)")
-	fmt.Printf("%-8s %14s %14s\n", "cores", "CMP-SNUCA-3D", "CMP-DNUCA-3D")
+func cpuScaling(opt nim.Options) section {
 	counts := []int{4, 8, 16}
-	sn, err := nim.CPUCountSweep(nim.CMPSNUCA3D, "swim", counts, opt)
-	if err != nil {
-		fatal(err)
-	}
-	dn, err := nim.CPUCountSweep(nim.CMPDNUCA3D, "swim", counts, opt)
-	if err != nil {
-		fatal(err)
-	}
-	for i, n := range counts {
-		fmt.Printf("%-8d %11.1f cy %11.1f cy\n", n, sn[i].AvgL2HitLatency, dn[i].AvgL2HitLatency)
-	}
+	jobs := append(nim.CPUCountSweepJobs(nim.CMPSNUCA3D, "swim", counts, opt),
+		nim.CPUCountSweepJobs(nim.CMPDNUCA3D, "swim", counts, opt)...)
+	return section{jobs, func(res []nim.Results) {
+		header("Scaling: CPU count (one pillar per core, CMP-DNUCA-3D vs CMP-SNUCA-3D)")
+		fmt.Printf("%-8s %14s %14s\n", "cores", "CMP-SNUCA-3D", "CMP-DNUCA-3D")
+		sn, dn := res[:len(counts)], res[len(counts):]
+		for i, n := range counts {
+			fmt.Printf("%-8d %11.1f cy %11.1f cy\n", n, sn[i].AvgL2HitLatency, dn[i].AvgL2HitLatency)
+		}
+	}}
 }
 
 // ablations runs the design-choice studies beyond the paper's figures.
-func ablations(opt nim.Options) {
-	header("Ablations: the design choices behind the architecture")
-
-	bus, router, err := nim.VerticalAblation("mgrid", 4, opt)
-	if err != nil {
-		fatal(err)
+func ablations(opt nim.Options) section {
+	pairs := [][2]nim.SweepJob{
+		nim.VerticalAblationJobs("mgrid", 4, opt),
+		nim.RouterPipelineAblationJobs("swim", opt),
+		nim.SearchPolicyAblationJobs("art", opt),
+		nim.ReplicationAblationJobs("equake", opt),
+		nim.StackedVsOffsetJobs("mgrid", opt),
+		nim.TagPortAblationJobs("mgrid", opt),
+		nim.ClusterSkipAblationJobs("swim", opt),
 	}
-	fmt.Printf("vertical interconnect (4 layers, SNUCA):  dTDMA bus %.1f cy,  7-port routers %.1f cy\n",
-		bus.AvgL2HitLatency, router.AvgL2HitLatency)
-
-	one, four, err := nim.RouterPipelineAblation("swim", opt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("router pipeline (DNUCA-3D):               single-stage %.1f cy,  four-stage %.1f cy\n",
-		one.AvgL2HitLatency, four.AvgL2HitLatency)
-
-	twoStep, bcast, err := nim.SearchPolicyAblation("art", opt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("search policy (DNUCA-3D):                 two-step %.1f cy / %d probes,  broadcast %.1f cy / %d probes\n",
-		twoStep.AvgL2HitLatency, twoStep.ProbesSent, bcast.AvgL2HitLatency, bcast.ProbesSent)
-
-	plain, vr, err := nim.ReplicationAblation("equake", opt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("victim replication (SNUCA-3D):            plain %.1f cy,  replicated %.1f cy (%d replicas, %d hits)\n",
-		plain.AvgL2HitLatency, vr.AvgL2HitLatency, vr.Replications, vr.ReplicaHits)
-
 	ths := []int{1, 2, 4, 8}
-	rs, err := nim.MigrationThresholdSweep("swim", ths, opt)
-	if err != nil {
-		fatal(err)
+	var jobs []nim.SweepJob
+	for _, p := range pairs {
+		jobs = append(jobs, p[:]...)
 	}
-	fmt.Printf("migration threshold (DNUCA-3D, swim):    ")
-	for i, th := range ths {
-		fmt.Printf("  t=%d: %.1f cy/%d mig", th, rs[i].AvgL2HitLatency, rs[i].Migrations)
-	}
-	fmt.Println()
+	jobs = append(jobs, nim.MigrationThresholdSweepJobs("swim", ths, opt)...)
+	return section{jobs, func(res []nim.Results) {
+		pair := func(i int) (nim.Results, nim.Results) { return res[2*i], res[2*i+1] }
+		header("Ablations: the design choices behind the architecture")
 
-	offs, stack, err := nim.StackedVsOffset("mgrid", opt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("CPU stacking (DNUCA-3D, network only):    offset %.1f cy,  stacked %.1f cy\n",
-		offs.AvgL2HitLatency, stack.AvgL2HitLatency)
+		bus, router := pair(0)
+		fmt.Printf("vertical interconnect (4 layers, SNUCA):  dTDMA bus %.1f cy,  7-port routers %.1f cy\n",
+			bus.AvgL2HitLatency, router.AvgL2HitLatency)
 
-	idealTag, singleTag, err := nim.TagPortAblation("mgrid", opt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("tag-array ports (SNUCA-3D):               unlimited %.1f cy,  single-ported %.1f cy\n",
-		idealTag.AvgL2HitLatency, singleTag.AvgL2HitLatency)
+		one, four := pair(1)
+		fmt.Printf("router pipeline (DNUCA-3D):               single-stage %.1f cy,  four-stage %.1f cy\n",
+			one.AvgL2HitLatency, four.AvgL2HitLatency)
 
-	skipOn, skipOff, err := nim.ClusterSkipAblation("swim", opt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("CPU-cluster skip in migration:            on %.1f cy,  off %.1f cy\n",
-		skipOn.AvgL2HitLatency, skipOff.AvgL2HitLatency)
+		twoStep, bcast := pair(2)
+		fmt.Printf("search policy (DNUCA-3D):                 two-step %.1f cy / %d probes,  broadcast %.1f cy / %d probes\n",
+			twoStep.AvgL2HitLatency, twoStep.ProbesSent, bcast.AvgL2HitLatency, bcast.ProbesSent)
+
+		plain, vr := pair(3)
+		fmt.Printf("victim replication (SNUCA-3D):            plain %.1f cy,  replicated %.1f cy (%d replicas, %d hits)\n",
+			plain.AvgL2HitLatency, vr.AvgL2HitLatency, vr.Replications, vr.ReplicaHits)
+
+		rs := res[2*len(pairs):]
+		fmt.Printf("migration threshold (DNUCA-3D, swim):    ")
+		for i, th := range ths {
+			fmt.Printf("  t=%d: %.1f cy/%d mig", th, rs[i].AvgL2HitLatency, rs[i].Migrations)
+		}
+		fmt.Println()
+
+		offs, stack := pair(4)
+		fmt.Printf("CPU stacking (DNUCA-3D, network only):    offset %.1f cy,  stacked %.1f cy\n",
+			offs.AvgL2HitLatency, stack.AvgL2HitLatency)
+
+		idealTag, singleTag := pair(5)
+		fmt.Printf("tag-array ports (SNUCA-3D):               unlimited %.1f cy,  single-ported %.1f cy\n",
+			idealTag.AvgL2HitLatency, singleTag.AvgL2HitLatency)
+
+		skipOn, skipOff := pair(6)
+		fmt.Printf("CPU-cluster skip in migration:            on %.1f cy,  off %.1f cy\n",
+			skipOn.AvgL2HitLatency, skipOff.AvgL2HitLatency)
+	}}
 }
 
 // breakdowns decomposes each scheme's average L2 latency into the span
 // components (search rounds, network queue vs link, pillar-bus wait vs
 // transfer, tag, bank, DRAM), making visible which component each scheme
 // shrinks — the mechanism behind Figure 13 and the Section 6 discussion.
-func breakdowns(names []string, opt nim.Options) {
+func breakdowns(names []string, opt nim.Options) section {
 	bench := names[0]
 	for _, n := range names {
 		if n == "mgrid" {
@@ -563,7 +647,6 @@ func breakdowns(names []string, opt nim.Options) {
 			break
 		}
 	}
-	header(fmt.Sprintf("Latency decomposition: where each scheme spends L2 cycles (%s)", bench))
 	schemes := nim.Schemes()
 	var jobs []nim.SweepJob
 	for _, s := range schemes {
@@ -571,56 +654,57 @@ func breakdowns(names []string, opt nim.Options) {
 		j.RecordSpans = true
 		jobs = append(jobs, j)
 	}
-	res := sweep(jobs, opt)
-
-	class := func(title, csvName string, pick func(b *nim.LatencyBreakdown) ([]nim.ComponentStat, float64)) {
-		fmt.Printf("\n%s (mean cycles, share of total)\n", title)
-		fmt.Printf("%-14s", "component")
-		for _, s := range schemes {
-			fmt.Printf(" %14s", s)
-		}
-		fmt.Println()
-		comps, _ := pick(res[0].Breakdown)
-		csvRows := [][]string{{"component", "cmp-dnuca", "cmp-dnuca-2d", "cmp-snuca-3d", "cmp-dnuca-3d"}}
-		for c := range comps {
-			if comps[c].Name == "l1" {
-				continue // pre-issue, identical everywhere, not in the total
-			}
-			any := false
-			for _, r := range res {
-				cs, _ := pick(r.Breakdown)
-				any = any || cs[c].Mean != 0
-			}
-			if !any {
-				continue
-			}
-			fmt.Printf("%-14s", comps[c].Name)
-			row := []string{comps[c].Name}
-			for _, r := range res {
-				cs, _ := pick(r.Breakdown)
-				fmt.Printf(" %9.1f %3.0f%%", cs[c].Mean, 100*cs[c].Share)
-				row = append(row, f1(cs[c].Mean))
+	return section{jobs, func(res []nim.Results) {
+		header(fmt.Sprintf("Latency decomposition: where each scheme spends L2 cycles (%s)", bench))
+		class := func(title, csvName string, pick func(b *nim.LatencyBreakdown) ([]nim.ComponentStat, float64)) {
+			fmt.Printf("\n%s (mean cycles, share of total)\n", title)
+			fmt.Printf("%-14s", "component")
+			for _, s := range schemes {
+				fmt.Printf(" %14s", s)
 			}
 			fmt.Println()
-			csvRows = append(csvRows, row)
+			comps, _ := pick(res[0].Breakdown)
+			csvRows := [][]string{{"component", "cmp-dnuca", "cmp-dnuca-2d", "cmp-snuca-3d", "cmp-dnuca-3d"}}
+			for c := range comps {
+				if comps[c].Name == "l1" {
+					continue // pre-issue, identical everywhere, not in the total
+				}
+				any := false
+				for _, r := range res {
+					cs, _ := pick(r.Breakdown)
+					any = any || cs[c].Mean != 0
+				}
+				if !any {
+					continue
+				}
+				fmt.Printf("%-14s", comps[c].Name)
+				row := []string{comps[c].Name}
+				for _, r := range res {
+					cs, _ := pick(r.Breakdown)
+					fmt.Printf(" %9.1f %3.0f%%", cs[c].Mean, 100*cs[c].Share)
+					row = append(row, f1(cs[c].Mean))
+				}
+				fmt.Println()
+				csvRows = append(csvRows, row)
+			}
+			fmt.Printf("%-14s", "total")
+			totals := []string{"total"}
+			for _, r := range res {
+				_, total := pick(r.Breakdown)
+				fmt.Printf(" %9.1f     ", total)
+				totals = append(totals, f1(total))
+			}
+			fmt.Println()
+			writeCSV(csvName, append(csvRows, totals))
 		}
-		fmt.Printf("%-14s", "total")
-		totals := []string{"total"}
-		for _, r := range res {
-			_, total := pick(r.Breakdown)
-			fmt.Printf(" %9.1f     ", total)
-			totals = append(totals, f1(total))
-		}
-		fmt.Println()
-		writeCSV(csvName, append(csvRows, totals))
-	}
-	class("L2 hits", "breakdown_hits", func(b *nim.LatencyBreakdown) ([]nim.ComponentStat, float64) {
-		return b.Hits.Components, b.Hits.MeanTotal
-	})
-	class("L2 misses", "breakdown_misses", func(b *nim.LatencyBreakdown) ([]nim.ComponentStat, float64) {
-		return b.Misses.Components, b.Misses.MeanTotal
-	})
-	fmt.Println("(component sums equal the measured end-to-end means; the 3D schemes' savings\n concentrate in the request/reply link components, per the paper's Section 6)")
+		class("L2 hits", "breakdown_hits", func(b *nim.LatencyBreakdown) ([]nim.ComponentStat, float64) {
+			return b.Hits.Components, b.Hits.MeanTotal
+		})
+		class("L2 misses", "breakdown_misses", func(b *nim.LatencyBreakdown) ([]nim.ComponentStat, float64) {
+			return b.Misses.Components, b.Misses.MeanTotal
+		})
+		fmt.Println("(component sums equal the measured end-to-end means; the 3D schemes' savings\n concentrate in the request/reply link components, per the paper's Section 6)")
+	}}
 }
 
 // thermalStudy runs the transient thermal pipeline across the four schemes
@@ -629,8 +713,7 @@ func breakdowns(names []string, opt nim.Options) {
 // the stacked variant piles CPU heat into vertical columns and runs away
 // from the offset placement even though both dissipate the same energy —
 // the transient counterpart of Table 3's steady-state gap.
-func thermalStudy(opt nim.Options) {
-	header("Thermal: transient peak temperature under activity-driven power (mgrid)")
+func thermalStudy(opt nim.Options) section {
 	type variant struct {
 		name string
 		cfg  nim.Config
@@ -650,28 +733,29 @@ func thermalStudy(opt nim.Options) {
 		j.ThermalInterval = 1000
 		jobs[i] = j
 	}
-	res := sweep(jobs, opt)
-
-	fmt.Printf("%-18s %8s %10s %9s %9s %8s %8s\n",
-		"", "peak C", "@cycle", "final C", "grad C", ">85C %", "dyn W")
-	csvRows := [][]string{{"variant", "peak_c", "peak_cycle", "final_peak_c", "final_mean_c", "gradient_c", "pct_above_85c", "avg_dyn_power_w"}}
-	for i, v := range variants {
-		t := res[i].Thermal
-		if t == nil {
-			fmt.Printf("%-18s %8s\n", v.name, "n/a")
-			continue
+	return section{jobs, func(res []nim.Results) {
+		header("Thermal: transient peak temperature under activity-driven power (mgrid)")
+		fmt.Printf("%-18s %8s %10s %9s %9s %8s %8s\n",
+			"", "peak C", "@cycle", "final C", "grad C", ">85C %", "dyn W")
+		csvRows := [][]string{{"variant", "peak_c", "peak_cycle", "final_peak_c", "final_mean_c", "gradient_c", "pct_above_85c", "avg_dyn_power_w"}}
+		for i, v := range variants {
+			t := res[i].Thermal
+			if t == nil {
+				fmt.Printf("%-18s %8s\n", v.name, "n/a")
+				continue
+			}
+			pctAbove := 0.0
+			if t.Cycles > 0 {
+				pctAbove = 100 * float64(t.CyclesAboveThreshold) / float64(t.Cycles)
+			}
+			fmt.Printf("%-18s %8.2f %10d %9.2f %9.2f %8.1f %8.2f\n",
+				v.name, t.PeakC, t.PeakCycle, t.FinalPeakC, t.GradientC, pctAbove, t.AvgPowerW)
+			csvRows = append(csvRows, []string{v.name, f1(t.PeakC), u(t.PeakCycle),
+				f1(t.FinalPeakC), f1(t.FinalMeanC), f1(t.GradientC), f1(pctAbove), f1(t.AvgPowerW)})
 		}
-		pctAbove := 0.0
-		if t.Cycles > 0 {
-			pctAbove = 100 * float64(t.CyclesAboveThreshold) / float64(t.Cycles)
-		}
-		fmt.Printf("%-18s %8.2f %10d %9.2f %9.2f %8.1f %8.2f\n",
-			v.name, t.PeakC, t.PeakCycle, t.FinalPeakC, t.GradientC, pctAbove, t.AvgPowerW)
-		csvRows = append(csvRows, []string{v.name, f1(t.PeakC), u(t.PeakCycle),
-			f1(t.FinalPeakC), f1(t.FinalMeanC), f1(t.GradientC), f1(pctAbove), f1(t.AvgPowerW)})
-	}
-	writeCSV("thermal_transient", csvRows)
-	fmt.Println("(same workload, same charged energy: the stacked placement's peak runs away\n from the offset placement's — Table 3's steady-state gap, reproduced dynamically)")
+		writeCSV("thermal_transient", csvRows)
+		fmt.Println("(same workload, same charged energy: the stacked placement's peak runs away\n from the offset placement's — Table 3's steady-state gap, reproduced dynamically)")
+	}}
 }
 
 // dtmStudy runs the DTM policy matrix on the two configurations the
@@ -684,8 +768,7 @@ func thermalStudy(opt nim.Options) {
 // dominant heat source); veto, drowsy, and reroute act on the ~0.06 W/cell
 // background and the traffic pattern, so their thermal effect is small —
 // they are documented as latency/energy levers, not peak-temperature ones.
-func dtmStudy(opt nim.Options) {
-	header("DTM: policy matrix on the hot configurations (mgrid, trip 85 C)")
+func dtmStudy(opt nim.Options) section {
 	type variant struct {
 		name string
 		cfg  nim.Config
@@ -710,45 +793,46 @@ func dtmStudy(opt nim.Options) {
 			jobs = append(jobs, j)
 		}
 	}
-	res := sweep(jobs, opt)
-
-	fmt.Printf("%-18s %-8s %8s %8s %8s %9s %7s %8s %8s %8s %8s\n",
-		"", "policy", "peak C", "dPeak", ">85C %", "hit lat", "IPC", "vetoes", "wakeups", "stalls", "diverts")
-	csvRows := [][]string{{"variant", "policy", "peak_c", "delta_peak_c", "pct_above_85c",
-		"avg_hit_lat", "ipc", "migration_vetoes", "bank_wakeups", "throttle_stalls", "pillar_diversions"}}
-	for vi, v := range variants {
-		basePeak := 0.0
-		for pi, pol := range policies {
-			r := res[vi*len(policies)+pi]
-			t := r.Thermal
-			if t == nil {
-				fmt.Printf("%-18s %-8s %8s\n", v.name, pol, "n/a")
-				continue
+	return section{jobs, func(res []nim.Results) {
+		header("DTM: policy matrix on the hot configurations (mgrid, trip 85 C)")
+		fmt.Printf("%-18s %-8s %8s %8s %8s %9s %7s %8s %8s %8s %8s\n",
+			"", "policy", "peak C", "dPeak", ">85C %", "hit lat", "IPC", "vetoes", "wakeups", "stalls", "diverts")
+		csvRows := [][]string{{"variant", "policy", "peak_c", "delta_peak_c", "pct_above_85c",
+			"avg_hit_lat", "ipc", "migration_vetoes", "bank_wakeups", "throttle_stalls", "pillar_diversions"}}
+		for vi, v := range variants {
+			basePeak := 0.0
+			for pi, pol := range policies {
+				r := res[vi*len(policies)+pi]
+				t := r.Thermal
+				if t == nil {
+					fmt.Printf("%-18s %-8s %8s\n", v.name, pol, "n/a")
+					continue
+				}
+				if pol == "off" {
+					basePeak = t.PeakC
+				}
+				pctAbove := 0.0
+				if t.Cycles > 0 {
+					pctAbove = 100 * float64(t.CyclesAboveThreshold) / float64(t.Cycles)
+				}
+				var vetoes, wakeups, stalls, diverts uint64
+				if d := r.DTM; d != nil {
+					vetoes, wakeups, stalls, diverts = d.MigrationVetoes, d.BankWakeups, d.ThrottleStalls, d.PillarDiversions
+				}
+				name := ""
+				if pi == 0 {
+					name = v.name
+				}
+				fmt.Printf("%-18s %-8s %8.2f %8.2f %8.1f %9.1f %7.3f %8d %8d %8d %8d\n",
+					name, pol, t.PeakC, t.PeakC-basePeak, pctAbove,
+					r.AvgL2HitLatency, r.IPC, vetoes, wakeups, stalls, diverts)
+				csvRows = append(csvRows, []string{v.name, pol, f1(t.PeakC), f1(t.PeakC - basePeak),
+					f1(pctAbove), f1(r.AvgL2HitLatency), f1(r.IPC), u(vetoes), u(wakeups), u(stalls), u(diverts)})
 			}
-			if pol == "off" {
-				basePeak = t.PeakC
-			}
-			pctAbove := 0.0
-			if t.Cycles > 0 {
-				pctAbove = 100 * float64(t.CyclesAboveThreshold) / float64(t.Cycles)
-			}
-			var vetoes, wakeups, stalls, diverts uint64
-			if d := r.DTM; d != nil {
-				vetoes, wakeups, stalls, diverts = d.MigrationVetoes, d.BankWakeups, d.ThrottleStalls, d.PillarDiversions
-			}
-			name := ""
-			if pi == 0 {
-				name = v.name
-			}
-			fmt.Printf("%-18s %-8s %8.2f %8.2f %8.1f %9.1f %7.3f %8d %8d %8d %8d\n",
-				name, pol, t.PeakC, t.PeakC-basePeak, pctAbove,
-				r.AvgL2HitLatency, r.IPC, vetoes, wakeups, stalls, diverts)
-			csvRows = append(csvRows, []string{v.name, pol, f1(t.PeakC), f1(t.PeakC - basePeak),
-				f1(pctAbove), f1(r.AvgL2HitLatency), f1(r.IPC), u(vetoes), u(wakeups), u(stalls), u(diverts)})
 		}
-	}
-	writeCSV("dtm_matrix", csvRows)
-	fmt.Println("(duty-cycling sheds the cores' 8 W budgets and is the policy that cuts the\n peak; veto/drowsy/reroute buy latency headroom and leakage, not degrees)")
+		writeCSV("dtm_matrix", csvRows)
+		fmt.Println("(duty-cycling sheds the cores' 8 W budgets and is the policy that cuts the\n peak; veto/drowsy/reroute buy latency headroom and leakage, not degrees)")
+	}}
 }
 
 // profileStudy asks where the host's wall-clock goes: it runs mgrid on

@@ -21,11 +21,14 @@ type Options struct {
 	Seed uint64
 	// Parallel bounds how many simulations a multi-run helper
 	// (RunAllSchemes, RunSchemeRepeated, CPUCountSweep,
-	// MigrationThresholdSweep, RunSweep) executes concurrently. Zero or
-	// negative selects runtime.GOMAXPROCS(0); 1 forces the historical
-	// strictly-sequential behavior. Results are identical either way —
-	// every simulation is self-contained and seed-deterministic — so this
-	// only changes wall-clock time.
+	// MigrationThresholdSweep, RunSweep, and the pair ablations
+	// StackedVsOffset, VerticalAblation, ReplicationAblation,
+	// RouterPipelineAblation, SearchPolicyAblation, TagPortAblation and
+	// ClusterSkipAblation) executes concurrently. Zero or negative selects
+	// runtime.GOMAXPROCS(0); 1 forces the historical strictly-sequential
+	// behavior. Results are identical either way — every simulation is
+	// self-contained and seed-deterministic — so this only changes
+	// wall-clock time.
 	Parallel int
 }
 
@@ -169,19 +172,31 @@ type RepeatedResults struct {
 // per-seed runs execute concurrently up to opt.Parallel workers; Runs stay
 // in seed order.
 func RunSchemeRepeated(s Scheme, benchName string, opt Options, seeds int) (RepeatedResults, error) {
+	rs, err := runJobs(SchemeRepeatedJobs(s, benchName, opt, seeds), opt)
+	if err != nil {
+		return RepeatedResults{}, err
+	}
+	return SummarizeRepeated(rs), nil
+}
+
+// SchemeRepeatedJobs builds RunSchemeRepeated's jobs: the scheme's default
+// configuration at seeds opt.Seed, opt.Seed+1, ..., one job per seed.
+func SchemeRepeatedJobs(s Scheme, benchName string, opt Options, seeds int) []SweepJob {
 	jobs := make([]SweepJob, seeds)
 	for i := range jobs {
 		o := opt
 		o.Seed = opt.Seed + uint64(i)
 		jobs[i] = jobFor(DefaultConfig(s), benchName, o)
 	}
+	return jobs
+}
+
+// SummarizeRepeated aggregates per-seed runs, in seed order, into
+// RunSchemeRepeated's result.
+func SummarizeRepeated(runs []Results) RepeatedResults {
 	var out RepeatedResults
-	rs, err := runJobs(jobs, opt)
-	if err != nil {
-		return out, err
-	}
 	var lat, ipc, mig []float64
-	for _, r := range rs {
+	for _, r := range runs {
 		out.Runs = append(out.Runs, r)
 		lat = append(lat, r.AvgL2HitLatency)
 		ipc = append(ipc, r.IPC)
@@ -190,7 +205,7 @@ func RunSchemeRepeated(s Scheme, benchName string, opt Options, seeds int) (Repe
 	out.Latency = aggregate(lat)
 	out.IPC = aggregate(ipc)
 	out.Migrations = aggregate(mig)
-	return out, nil
+	return out
 }
 
 // CPUCountSweep measures a scheme across processor counts (one pillar per
@@ -198,6 +213,11 @@ func RunSchemeRepeated(s Scheme, benchName string, opt Options, seeds int) (Repe
 // paper's conclusion points at. The per-count runs execute concurrently up
 // to opt.Parallel workers; results stay in counts order.
 func CPUCountSweep(s Scheme, benchName string, counts []int, opt Options) ([]Results, error) {
+	return runJobs(CPUCountSweepJobs(s, benchName, counts, opt), opt)
+}
+
+// CPUCountSweepJobs builds CPUCountSweep's jobs, in counts order.
+func CPUCountSweepJobs(s Scheme, benchName string, counts []int, opt Options) []SweepJob {
 	jobs := make([]SweepJob, len(counts))
 	for i, n := range counts {
 		cfg := DefaultConfig(s)
@@ -205,7 +225,7 @@ func CPUCountSweep(s Scheme, benchName string, counts []int, opt Options) ([]Res
 		cfg.NumPillars = n
 		jobs[i] = jobFor(cfg, benchName, opt)
 	}
-	return runJobs(jobs, opt)
+	return jobs
 }
 
 // Table3 reproduces the thermal table: peak/average/minimum temperature
@@ -218,18 +238,34 @@ func ThermalTable3() ([]Table3Row, error) {
 	return thermal.Table3(thermal.DefaultParams())
 }
 
+// pairJobs builds a pair ablation's two jobs: base, then base changed by
+// vary.
+func pairJobs(base Config, vary func(*Config), benchName string, opt Options) [2]SweepJob {
+	alt := base
+	vary(&alt)
+	return [2]SweepJob{jobFor(base, benchName, opt), jobFor(alt, benchName, opt)}
+}
+
+// runPair runs a pair ablation's two jobs through one sweep at opt.Parallel
+// width.
+func runPair(jobs [2]SweepJob, opt Options) (Results, Results, error) {
+	rs, err := runJobs(jobs[:], opt)
+	if err != nil {
+		return Results{}, Results{}, err
+	}
+	return rs[0], rs[1], nil
+}
+
 // StackedVsOffset compares network performance of stacked versus offset CPU
 // placement under CMP-DNUCA-3D (the congestion argument of Section 3.3,
 // complementing Table 3's thermal argument).
 func StackedVsOffset(benchName string, opt Options) (offset, stacked Results, err error) {
-	offCfg := DefaultConfig(CMPDNUCA3D)
-	if offset, err = runConfigured(offCfg, benchName, opt); err != nil {
-		return
-	}
-	stCfg := DefaultConfig(CMPDNUCA3D)
-	stCfg.StackCPUs = true
-	stacked, err = runConfigured(stCfg, benchName, opt)
-	return
+	return runPair(StackedVsOffsetJobs(benchName, opt), opt)
+}
+
+// StackedVsOffsetJobs builds StackedVsOffset's offset and stacked jobs.
+func StackedVsOffsetJobs(benchName string, opt Options) [2]SweepJob {
+	return pairJobs(DefaultConfig(CMPDNUCA3D), func(c *Config) { c.StackCPUs = true }, benchName, opt)
 }
 
 // VerticalAblation compares the paper's dTDMA bus pillars against the
@@ -238,16 +274,14 @@ func StackedVsOffset(benchName string, opt Options) (offset, stacked Results, er
 // single-hop traversal beats hop-by-hop router traversal, and pillar
 // routers keep one extra port instead of two.
 func VerticalAblation(benchName string, layers int, opt Options) (bus, router Results, err error) {
-	busCfg := DefaultConfig(CMPSNUCA3D)
-	busCfg.Layers = layers
-	if bus, err = runConfigured(busCfg, benchName, opt); err != nil {
-		return
-	}
-	nocCfg := DefaultConfig(CMPSNUCA3D)
-	nocCfg.Layers = layers
-	nocCfg.VerticalNoC = true
-	router, err = runConfigured(nocCfg, benchName, opt)
-	return
+	return runPair(VerticalAblationJobs(benchName, layers, opt), opt)
+}
+
+// VerticalAblationJobs builds VerticalAblation's bus and router jobs.
+func VerticalAblationJobs(benchName string, layers int, opt Options) [2]SweepJob {
+	base := DefaultConfig(CMPSNUCA3D)
+	base.Layers = layers
+	return pairJobs(base, func(c *Config) { c.VerticalNoC = true }, benchName, opt)
 }
 
 // ReplicationAblation compares plain CMP-SNUCA-3D against SNUCA-3D with
@@ -255,14 +289,13 @@ func VerticalAblation(benchName string, layers int, opt Options) (bus, router Re
 // Section 2.1): remote read hits leave read-only replicas in the reader's
 // local cluster, trading L2 capacity and invalidation traffic for locality.
 func ReplicationAblation(benchName string, opt Options) (plain, replicated Results, err error) {
-	p := DefaultConfig(CMPSNUCA3D)
-	if plain, err = runConfigured(p, benchName, opt); err != nil {
-		return
-	}
-	vr := DefaultConfig(CMPSNUCA3D)
-	vr.VictimReplication = true
-	replicated, err = runConfigured(vr, benchName, opt)
-	return
+	return runPair(ReplicationAblationJobs(benchName, opt), opt)
+}
+
+// ReplicationAblationJobs builds ReplicationAblation's plain and replicated
+// jobs.
+func ReplicationAblationJobs(benchName string, opt Options) [2]SweepJob {
+	return pairJobs(DefaultConfig(CMPSNUCA3D), func(c *Config) { c.VictimReplication = true }, benchName, opt)
 }
 
 // RouterPipelineAblation compares the paper's single-stage (1-cycle)
@@ -270,42 +303,39 @@ func ReplicationAblation(benchName string, opt Options) (plain, replicated Resul
 // CMP-DNUCA-3D: every hop costs three extra cycles, which multiplies
 // across search probes and data trips.
 func RouterPipelineAblation(benchName string, opt Options) (singleStage, fourStage Results, err error) {
-	one := DefaultConfig(CMPDNUCA3D)
-	if singleStage, err = runConfigured(one, benchName, opt); err != nil {
-		return
-	}
-	four := DefaultConfig(CMPDNUCA3D)
-	four.RouterPipeline = 4
-	fourStage, err = runConfigured(four, benchName, opt)
-	return
+	return runPair(RouterPipelineAblationJobs(benchName, opt), opt)
+}
+
+// RouterPipelineAblationJobs builds RouterPipelineAblation's single-stage
+// and four-stage jobs.
+func RouterPipelineAblationJobs(benchName string, opt Options) [2]SweepJob {
+	return pairJobs(DefaultConfig(CMPDNUCA3D), func(c *Config) { c.RouterPipeline = 4 }, benchName, opt)
 }
 
 // SearchPolicyAblation compares the paper's two-step search against a
 // single-step broadcast to all clusters under CMP-DNUCA-3D: the broadcast
 // finds remote lines one round-trip earlier but multiplies probe traffic.
 func SearchPolicyAblation(benchName string, opt Options) (twoStep, broadcast Results, err error) {
-	ts := DefaultConfig(CMPDNUCA3D)
-	if twoStep, err = runConfigured(ts, benchName, opt); err != nil {
-		return
-	}
-	bc := DefaultConfig(CMPDNUCA3D)
-	bc.BroadcastSearch = true
-	broadcast, err = runConfigured(bc, benchName, opt)
-	return
+	return runPair(SearchPolicyAblationJobs(benchName, opt), opt)
+}
+
+// SearchPolicyAblationJobs builds SearchPolicyAblation's two-step and
+// broadcast jobs.
+func SearchPolicyAblationJobs(benchName string, opt Options) [2]SweepJob {
+	return pairJobs(DefaultConfig(CMPDNUCA3D), func(c *Config) { c.BroadcastSearch = true }, benchName, opt)
 }
 
 // TagPortAblation compares idealized (unlimited-port) cluster tag arrays
 // against single-ported ones under CMP-SNUCA-3D, where every access hits
 // one home tag array and hot homes contend.
 func TagPortAblation(benchName string, opt Options) (ideal, singlePort Results, err error) {
-	i := DefaultConfig(CMPSNUCA3D)
-	if ideal, err = runConfigured(i, benchName, opt); err != nil {
-		return
-	}
-	sp := DefaultConfig(CMPSNUCA3D)
-	sp.TagPorts = 1
-	singlePort, err = runConfigured(sp, benchName, opt)
-	return
+	return runPair(TagPortAblationJobs(benchName, opt), opt)
+}
+
+// TagPortAblationJobs builds TagPortAblation's unlimited-port and
+// single-port jobs.
+func TagPortAblationJobs(benchName string, opt Options) [2]SweepJob {
+	return pairJobs(DefaultConfig(CMPSNUCA3D), func(c *Config) { c.TagPorts = 1 }, benchName, opt)
 }
 
 // MigrationThresholdSweep measures CMP-DNUCA-3D across migration
@@ -313,24 +343,29 @@ func TagPortAblation(benchName string, opt Options) (ideal, singlePort Results, 
 // per-threshold runs execute concurrently up to opt.Parallel workers;
 // results stay in thresholds order.
 func MigrationThresholdSweep(benchName string, thresholds []int, opt Options) ([]Results, error) {
+	return runJobs(MigrationThresholdSweepJobs(benchName, thresholds, opt), opt)
+}
+
+// MigrationThresholdSweepJobs builds MigrationThresholdSweep's jobs, in
+// thresholds order.
+func MigrationThresholdSweepJobs(benchName string, thresholds []int, opt Options) []SweepJob {
 	jobs := make([]SweepJob, len(thresholds))
 	for i, th := range thresholds {
 		cfg := DefaultConfig(CMPDNUCA3D)
 		cfg.MigrationThreshold = th
 		jobs[i] = jobFor(cfg, benchName, opt)
 	}
-	return runJobs(jobs, opt)
+	return jobs
 }
 
 // ClusterSkipAblation measures CMP-DNUCA-3D with and without the policy of
 // skipping processor-owned clusters during intra-layer migration.
 func ClusterSkipAblation(benchName string, opt Options) (withSkip, withoutSkip Results, err error) {
-	on := DefaultConfig(CMPDNUCA3D)
-	if withSkip, err = runConfigured(on, benchName, opt); err != nil {
-		return
-	}
-	off := DefaultConfig(CMPDNUCA3D)
-	off.SkipCPUClusters = false
-	withoutSkip, err = runConfigured(off, benchName, opt)
-	return
+	return runPair(ClusterSkipAblationJobs(benchName, opt), opt)
+}
+
+// ClusterSkipAblationJobs builds ClusterSkipAblation's with-skip and
+// without-skip jobs.
+func ClusterSkipAblationJobs(benchName string, opt Options) [2]SweepJob {
+	return pairJobs(DefaultConfig(CMPDNUCA3D), func(c *Config) { c.SkipCPUClusters = false }, benchName, opt)
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Bad-input smoke test of the nimsim CLI: build the binary once, feed it
-# every documented bad input, and assert each exits 1 with a "nimsim:"
-# message on stderr and no Go panic. Runs in a temporary directory, so
-# the missing replay file stays missing and nothing is left behind.
+# Bad-input smoke test of the nimsim and experiments CLIs: build each
+# binary once, feed it every documented bad input, and assert each exits 1
+# with a "<command>:" message on stderr, nothing on stdout and no Go panic.
+# Runs in a temporary directory, so the missing replay file stays missing
+# and nothing is left behind.
 #
 # Usage: scripts/cli_smoke.sh
 set -euo pipefail
@@ -10,21 +11,26 @@ cd "$(dirname "$0")/.."
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
-echo "cli_smoke: building nimsim"
+echo "cli_smoke: building nimsim and experiments"
 go build -o "$TMP/nimsim" ./cmd/nimsim
+go build -o "$TMP/experiments" ./cmd/experiments
 cd "$TMP"
 
 FAIL=0
-check() {
-  local out code=0
-  out=$(./nimsim "$@" 2>&1 >/dev/null) || code=$?
-  if [ "$code" -ne 1 ] || ! grep -q '^nimsim: ' <<<"$out" || grep -q 'panic:' <<<"$out"; then
-    echo "cli_smoke: FAIL nimsim $* exited $code: $out" >&2
+# run CMD ARGS... checks one bad invocation of ./CMD.
+run() {
+  local cmd=$1 out code=0
+  shift
+  ./"$cmd" "$@" >stdout.txt 2>stderr.txt || code=$?
+  out=$(<stderr.txt)
+  if [ "$code" -ne 1 ] || [ -s stdout.txt ] || ! grep -q "^$cmd: " <<<"$out" || grep -q 'panic:' <<<"$out"; then
+    echo "cli_smoke: FAIL $cmd $* exited $code: $out" >&2
     FAIL=1
   else
-    echo "cli_smoke: ok   nimsim $* -> ${out%%$'\n'*}"
+    echo "cli_smoke: ok   $cmd $* -> ${out%%$'\n'*}"
   fi
 }
+check() { run nimsim "$@"; }
 
 check -scheme bogus
 check -bench nope
@@ -40,4 +46,7 @@ check -trace t.json -tracebuf 0
 check -spans s.json -tracebuf 0
 check -diverge seed=2 -metrics m.csv -interval 0
 check -diverge seed=2 -dtm all -tinterval 0
+# An unknown or empty -bench item is rejected before any section prints.
+run experiments -figure 17 -bench nope
+run experiments -all -bench mgrid,
 exit "$FAIL"
