@@ -179,6 +179,13 @@ type jobIdentity struct {
 // jobID derives the registry key for a normalized runner job: 16 hex
 // characters of the SHA-256 of the job's canonical identity.
 func jobID(j runner.Job) string {
+	id, _ := identify(j)
+	return id
+}
+
+// identify returns jobID's key together with the config hash inside the
+// identity, which the record keeps so status snapshots never rehash.
+func identify(j runner.Job) (id, configHash string) {
 	ident := jobIdentity{
 		ConfigHash:    config.CanonicalHash(j.Config),
 		Benchmark:     j.Benchmark,
@@ -192,7 +199,7 @@ func jobID(j runner.Job) string {
 		panic(fmt.Sprintf("serve: job identity encoding failed: %v", err))
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
+	return hex.EncodeToString(sum[:8]), ident.ConfigHash
 }
 
 // Job states, in lifecycle order.
@@ -211,8 +218,9 @@ type job struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	id  string
-	run runner.Job // hook-free template; the worker adds hooks
+	id         string
+	configHash string     // config.CanonicalHash(run.Config), from identify
+	run        runner.Job // hook-free template; the worker adds hooks
 
 	// verify records the first submission's DigestVerify request; the
 	// worker acts on it after the primary run (see Server.runJob).
@@ -236,12 +244,15 @@ type job struct {
 	mismatchCycle uint64
 	mismatchLane  string
 
-	resultJSON json.RawMessage // canonical Results bytes, marshaled once
-	errMsg     string
+	// results is the job's Results, rendered once by the worker with the
+	// indentation writeJSON gives the status document's last member;
+	// writeStatus splices it in verbatim. Nil until the job is done.
+	results []byte
+	errMsg  string
 }
 
-func newJob(id string, run runner.Job, now time.Time) *job {
-	rec := &job{id: id, run: run, state: StateQueued, submits: 1, created: now}
+func newJob(id, configHash string, run runner.Job, now time.Time) *job {
+	rec := &job{id: id, configHash: configHash, run: run, state: StateQueued, submits: 1, created: now}
 	rec.cond = sync.NewCond(&rec.mu)
 	return rec
 }
@@ -314,12 +325,12 @@ func (rec *job) setVerify(mismatch bool, cycle uint64, lane string) {
 	rec.mu.Unlock()
 }
 
-// finish publishes the final Results bytes and flips the state to done.
-// The bytes are marshaled exactly once and served verbatim from then on,
+// finish publishes the rendered Results and flips the state to done.
+// The bytes are rendered exactly once and served verbatim from then on,
 // which is what makes a cache hit byte-identical to the first run.
-func (rec *job) finish(resultJSON []byte, now time.Time) {
+func (rec *job) finish(results []byte, now time.Time) {
 	rec.mu.Lock()
-	rec.resultJSON = resultJSON
+	rec.results = results
 	rec.fraction = 1
 	rec.state = StateDone
 	rec.finished = now
@@ -337,6 +348,8 @@ func (rec *job) fail(err error, now time.Time) {
 }
 
 // JobStatus is the wire representation of a job on /jobs and /jobs/{id}.
+// The server never fills Results: writeStatus encodes the rest and
+// appends a finished job's results member, rendered once, after it.
 type JobStatus struct {
 	ID         string          `json:"id"`
 	State      string          `json:"state"`
@@ -349,7 +362,7 @@ type JobStatus struct {
 	Rows       int             `json:"rows_streamed"`
 	Error      string          `json:"error,omitempty"`
 	Digest     *DigestStatus   `json:"digest,omitempty"`
-	Results    json.RawMessage `json:"results,omitempty"`
+	Results    json.RawMessage `json:"results,omitempty"` // must stay last, where writeStatus splices it; TestStatusByteIdentity checks
 }
 
 // DigestStatus summarizes a digested job on the status API: the run's
@@ -369,9 +382,11 @@ type DigestStatus struct {
 	MismatchLane  string `json:"mismatch_lane,omitempty"`
 }
 
-// status snapshots the record for the JSON API. withResults selects
-// whether the (possibly large) Results payload rides along.
-func (rec *job) status(withResults bool) JobStatus {
+// status snapshots the record for the JSON API: the status document,
+// which never carries Results, and the rendered results (nil until done)
+// that writeStatus appends to it. Both come from one hold of mu, so
+// results are never spliced onto a status from before the job finished.
+func (rec *job) status() (JobStatus, []byte) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	st := JobStatus{
@@ -381,7 +396,7 @@ func (rec *job) status(withResults bool) JobStatus {
 		Submits:    rec.submits,
 		Scheme:     rec.run.Config.Scheme.String(),
 		Benchmark:  rec.run.Benchmark,
-		ConfigHash: config.CanonicalHash(rec.run.Config),
+		ConfigHash: rec.configHash,
 		Created:    rec.created,
 		Rows:       len(rec.rows),
 		Error:      rec.errMsg,
@@ -397,8 +412,5 @@ func (rec *job) status(withResults bool) JobStatus {
 			MismatchLane:  rec.mismatchLane,
 		}
 	}
-	if withResults {
-		st.Results = rec.resultJSON
-	}
-	return st
+	return st, rec.results
 }

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -185,7 +187,10 @@ func (s *Server) runJob(rec *job) {
 		rec.fail(res.Err, time.Now())
 		return
 	}
-	b, err := json.Marshal(res.Results)
+	// Rendered here, once, exactly as writeJSON would indent the member
+	// at depth 1 of the status document (prefix and indent "  "), so no
+	// request ever passes the Results through the encoder again.
+	b, err := json.MarshalIndent(res.Results, "  ", "  ")
 	if err != nil {
 		s.m.failed.Add(1)
 		rec.fail(fmt.Errorf("marshaling results: %w", err), time.Now())
@@ -202,7 +207,9 @@ func (s *Server) runJob(rec *job) {
 		rec.setDigest(nil, res.Samples.DroppedEvents)
 	}
 	s.m.completed.Add(1)
-	rec.finish(b, time.Now())
+	// The registry keeps these bytes for the daemon's lifetime; the clone
+	// drops the slack MarshalIndent allocates (cap is twice the compact size).
+	rec.finish(bytes.Clone(b), time.Now())
 }
 
 // verifyDigest is the DigestVerify rerun: the same job without the
@@ -231,9 +238,18 @@ func (s *Server) verifyDigest(rec *job, primary *digest.Report) {
 // handleSubmit is POST /jobs: normalize, hash, and either return the
 // already-registered job (cache hit when finished, coalesce when still in
 // flight) or register and enqueue a new one. ?wait=1 blocks until the job
-// reaches a terminal state. The X-Cache header says which path was taken:
-// "hit", "coalesced", or "miss".
+// reaches a terminal state; wait takes any strconv.ParseBool value, and
+// anything else is rejected before a job is registered. The X-Cache
+// header says which path was taken: "hit", "coalesced", or "miss".
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var wait bool
+	if v := r.URL.Query().Get("wait"); v != "" {
+		var err error
+		if wait, err = strconv.ParseBool(v); err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad wait parameter %q: want a boolean such as 1 or 0", v))
+			return
+		}
+	}
 	var req JobRequest
 	dec := json.NewDecoder(r.Body)
 	// A misspelled or retired field must fail loudly, not fall back to
@@ -248,7 +264,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	id := jobID(run)
+	id, configHash := identify(run)
 
 	s.mu.Lock()
 	if s.draining {
@@ -266,15 +282,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if terminal(state) {
 			s.m.cacheHits.Add(1)
 			w.Header().Set("X-Cache", "hit")
-			writeJSON(w, http.StatusOK, rec.status(true))
+			writeStatus(w, http.StatusOK, rec)
 			return
 		}
 		s.m.coalesced.Add(1)
 		w.Header().Set("X-Cache", "coalesced")
-		s.respondMaybeWait(w, r, rec, http.StatusAccepted)
+		respondMaybeWait(w, r, rec, wait)
 		return
 	}
-	rec = newJob(id, run, time.Now())
+	rec = newJob(id, configHash, run, time.Now())
 	rec.verify = req.DigestVerify && run.DigestInterval > 0
 	select {
 	case s.queue <- rec:
@@ -290,21 +306,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.m.submitted.Add(1)
 	w.Header().Set("X-Cache", "miss")
-	s.respondMaybeWait(w, r, rec, http.StatusAccepted)
+	respondMaybeWait(w, r, rec, wait)
 }
 
-// respondMaybeWait writes the job's status — after blocking for the
-// terminal state first when the request carries ?wait.
-func (s *Server) respondMaybeWait(w http.ResponseWriter, r *http.Request, rec *job, code int) {
-	if r.URL.Query().Get("wait") == "" {
-		writeJSON(w, code, rec.status(false))
+// respondMaybeWait answers a submission of a job that was not finished:
+// 202 with its status, or, when wait is set, 200 with the terminal
+// status once the job gets there.
+func respondMaybeWait(w http.ResponseWriter, r *http.Request, rec *job, wait bool) {
+	if !wait {
+		st, _ := rec.status()
+		writeJSON(w, http.StatusAccepted, st)
 		return
 	}
 	if !rec.awaitTerminal(r.Context()) {
 		httpError(w, http.StatusRequestTimeout, fmt.Errorf("canceled while waiting for job %s", rec.id))
 		return
 	}
-	writeJSON(w, http.StatusOK, rec.status(true))
+	writeStatus(w, http.StatusOK, rec)
 }
 
 // awaitTerminal blocks until the job finishes or ctx is canceled,
@@ -335,7 +353,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	out := make([]JobStatus, len(recs))
 	for i, rec := range recs {
-		out[i] = rec.status(false)
+		out[i], _ = rec.status()
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Jobs []JobStatus `json:"jobs"`
@@ -351,7 +369,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, rec.status(true))
+	writeStatus(w, http.StatusOK, rec)
 }
 
 func (s *Server) lookup(id string) *job {
@@ -381,6 +399,41 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, body)
+}
+
+// statusBufs recycles writeStatus's response buffers. Each is the size of
+// a job's results, so allocating one per hit would be most of a hit's
+// garbage and set how often the collector runs under a stream of hits.
+// A buffer goes back once Write returns: writers do not retain p.
+var statusBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeStatus writes rec's status document. A finished job's document is
+// the encoded status with its closing brace cut, then the results member
+// whose value runJob rendered once — the bytes writeJSON would produce
+// with Results filled in, because Results is JobStatus's last field —
+// sent in one Write. Jobs without results take writeJSON itself.
+func writeStatus(w http.ResponseWriter, code int, rec *job) {
+	st, results := rec.status()
+	if results == nil {
+		writeJSON(w, code, st)
+		return
+	}
+	buf := statusBufs.Get().(*bytes.Buffer)
+	defer statusBufs.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(st); err != nil {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("encoding job status: %w", err))
+		return
+	}
+	buf.Truncate(buf.Len() - len("\n}\n"))
+	buf.WriteString(",\n  \"results\": ")
+	buf.Write(results)
+	buf.WriteString("\n}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone; nothing to tell it
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

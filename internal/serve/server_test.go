@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -172,6 +174,132 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	resp, _ = post(t, ts.URL+"/jobs", tinyBody(43))
 	if xc := resp.Header.Get("X-Cache"); xc != "miss" {
 		t.Fatalf("different seed X-Cache = %q, want miss", xc)
+	}
+}
+
+// TestStatusByteIdentity is the oracle for rendering results once: each
+// response that carries a finished record — the ?wait=1 completion, the
+// cache hit and GET /jobs/{id} — must equal, byte for byte, writeJSON of
+// the record's status with Results set to the compact form of the stored
+// bytes, which is how the encoder rendered those responses before. It
+// also fails if Results stops being JobStatus's last field, because the
+// splice always puts the member last.
+func TestStatusByteIdentity(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	for _, tc := range []struct {
+		name, body string
+		state      string
+		member     string // a Results field the job must carry
+	}{
+		{"done", tinyBody(11), StateDone, `"L2Hits"`},
+		{"digested", `{"warm_cycles":1000,"measure_cycles":4000,"sample_interval":500,
+			"seed":12,"digest_interval":500,"digest_verify":true}`, StateDone, `"Digests"`},
+		{"thermal+dtm", `{"dtm_policy":"all","warm_cycles":1000,"measure_cycles":4000,
+			"sample_interval":500,"thermal_interval":500}`, StateDone, `"DTM"`},
+		{"failed", `{"benchmark":"nosuch","warm_cycles":0,"measure_cycles":0}`, StateFailed, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var id string
+			check := func(endpoint string, resp *http.Response, body []byte) {
+				t.Helper()
+				var st JobStatus
+				if err := json.Unmarshal(body, &st); err != nil {
+					t.Fatalf("%s: %v: %s", endpoint, err, body)
+				}
+				if resp.StatusCode != http.StatusOK || st.State != tc.state ||
+					!strings.Contains(string(st.Results), tc.member) {
+					t.Fatalf("%s = %d, state %q: %s", endpoint, resp.StatusCode, st.State, body)
+				}
+				id = st.ID
+				want := encoderRendering(t, s.lookup(id))
+				if !bytes.Equal(body, want) {
+					t.Errorf("%s body differs from the encoder's rendering:\ngot:  %s\nwant: %s", endpoint, body, want)
+				}
+			}
+			resp, body := post(t, ts.URL+"/jobs?wait=1", tc.body)
+			check("POST ?wait=1", resp, body)
+			resp, body = post(t, ts.URL+"/jobs", tc.body)
+			if xc := resp.Header.Get("X-Cache"); xc != "hit" {
+				t.Fatalf("resubmit X-Cache = %q, want hit", xc)
+			}
+			check("cache hit", resp, body)
+			resp, body = get(t, ts.URL+"/jobs/"+id)
+			check("GET /jobs/{id}", resp, body)
+		})
+	}
+}
+
+// TestStatusConcurrentReads reads two finished jobs from several
+// goroutines at once: writeStatus's pooled buffers must never hand one
+// response's bytes to another.
+func TestStatusConcurrentReads(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	var urls [2]string
+	var want [2][]byte
+	for i := range urls {
+		_, body := post(t, ts.URL+"/jobs?wait=1", tinyBody(uint64(21+i)))
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		urls[i] = ts.URL + "/jobs/" + st.ID
+		want[i] = encoderRendering(t, s.lookup(st.ID))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 25; n++ {
+				i := (g + n) % 2
+				resp, err := http.Get(urls[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || !bytes.Equal(body, want[i]) {
+					t.Errorf("GET %s: %v, body differs from the encoder's rendering", urls[i], err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// encoderRendering is rec's status document as writeJSON renders it with
+// the results inside the JobStatus.
+func encoderRendering(t *testing.T, rec *job) []byte {
+	t.Helper()
+	st, results := rec.status()
+	if results != nil {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, results); err != nil {
+			t.Fatal(err)
+		}
+		st.Results = compact.Bytes()
+	}
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, st)
+	return w.Body.Bytes()
+}
+
+// TestWaitFalseDoesNotBlock: wait=0 and wait=false mean no wait, so a new
+// job answers 202 while it is still queued or running.
+func TestWaitFalseDoesNotBlock(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	for i, v := range []string{"0", "false"} {
+		body := fmt.Sprintf(`{"warm_cycles":1000,"measure_cycles":20000,"no_samples":true,"seed":%d}`, 300+i)
+		resp, out := post(t, ts.URL+"/jobs?wait="+v, body)
+		var st JobStatus
+		if err := json.Unmarshal(out, &st); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted || terminal(st.State) {
+			t.Errorf("POST ?wait=%s = %d, state %q; want 202 before the job finishes", v, resp.StatusCode, st.State)
+		}
 	}
 }
 
@@ -480,9 +608,10 @@ func TestDTMJobDefaultsThermal(t *testing.T) {
 }
 
 // TestBadRequests: malformed JSON, unknown scheme, unknown request
-// fields, unparseable DTM strings, unknown benchmark, unknown job id.
+// fields, unparseable DTM strings, a non-boolean wait, unknown
+// benchmark, unknown job id.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 
 	if resp, _ := post(t, ts.URL+"/jobs", "{not json"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body = %d, want 400", resp.StatusCode)
@@ -505,6 +634,17 @@ func TestBadRequests(t *testing.T) {
 			!strings.Contains(string(out), field) {
 			t.Errorf("bad field %q = %d (%s), want 400 naming it", field, resp.StatusCode, out)
 		}
+	}
+	// ?wait is a boolean: a value that does not parse fails before the
+	// job is registered, rather than blocking or not on a guess.
+	for _, v := range []string{"yes", "2", "on"} {
+		if resp, out := post(t, ts.URL+"/jobs?wait="+v, tinyBody(1)); resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(string(out), "wait") {
+			t.Errorf("wait=%s = %d (%s), want 400 naming wait", v, resp.StatusCode, out)
+		}
+	}
+	if n := s.m.submitted.Load(); n != 0 {
+		t.Errorf("bad requests registered %d jobs, want 0", n)
 	}
 	// An unknown benchmark passes validation (the runner rejects it at
 	// execution), so the job fails rather than the submit.
