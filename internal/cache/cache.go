@@ -5,7 +5,10 @@
 // lazy-migration marks, and the co-located L1 directory state).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineAddr is a cache-line address: the byte address divided by the line
 // size. All of the memory system works in line addresses.
@@ -34,8 +37,11 @@ func DefaultGeometry() Geometry {
 }
 
 // Validate checks that every field is a positive power of two (the address
-// mapping uses bit slicing).
+// mapping uses bit slicing) and that Ways is at most MaxWays.
 func (g Geometry) Validate() error {
+	if g.Ways > MaxWays {
+		return fmt.Errorf("cache: Ways = %d exceeds %d (a set records its valid ways in one 64-bit mask)", g.Ways, MaxWays)
+	}
 	check := func(name string, v int) error {
 		if v < 1 || v&(v-1) != 0 {
 			return fmt.Errorf("cache: %s = %d must be a positive power of two", name, v)
@@ -70,14 +76,8 @@ func (g Geometry) TotalBanks() int { return g.Clusters * g.BanksPerCluster }
 // BankBytes returns the capacity of one bank.
 func (g Geometry) BankBytes() int { return g.SetsPerBank * g.Ways * g.LineBytes }
 
-func log2(v int) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
+// log2 returns the exponent of a power of two (Validate guarantees one).
+func log2(v int) uint { return uint(bits.Len(uint(v)) - 1) }
 
 // Place decomposes a line address per the paper's placement policy:
 // the low-order bits of the cache index pick the bank within the cluster,
@@ -118,10 +118,10 @@ func (g Geometry) LineOf(p Place) LineAddr {
 
 // Entry is one cache line's metadata. Directory state for the L1 coherence
 // protocol (Sharers) is co-located with the tag entry, and the migration
-// policy's saturating access counter lives here too.
+// policy's saturating access counter lives here too. Whether the way holds
+// a line at all is the owning set's record, not the entry's (Set.Valid).
 type Entry struct {
 	Tag   uint64
-	Valid bool
 	Dirty bool
 	// Migrating marks a line being lazily migrated: it remains hittable at
 	// its old location until the new location acknowledges (Section 4.2.3).
@@ -138,15 +138,16 @@ type Entry struct {
 	LastCPU int8
 }
 
-// Set is one associative set with tree pseudo-LRU replacement.
-type Set struct {
-	ways []Entry
-	plru plruTree
-}
+// MaxWays is the largest supported associativity: a set records its valid
+// ways in one 64-bit mask.
+const MaxWays = 64
 
-// newSet builds a set with the given associativity (power of two).
-func newSet(ways int) Set {
-	return Set{ways: make([]Entry, ways), plru: newPLRU(ways)}
+// Set is one associative set with tree pseudo-LRU replacement. Bit w of
+// valid is set when way w holds a line; an invalid way's entry is zero.
+type Set struct {
+	ways  []Entry
+	valid uint64
+	plru  plruTree
 }
 
 // Ways returns the associativity.
@@ -155,11 +156,29 @@ func (s *Set) Ways() int { return len(s.ways) }
 // Way returns the entry in the given way for inspection or mutation.
 func (s *Set) Way(i int) *Entry { return &s.ways[i] }
 
-// Lookup finds a valid entry with the given tag, returning its way.
+// Valid reports whether the given way holds a line.
+func (s *Set) Valid(way int) bool { return s.valid&(1<<uint(way)) != 0 }
+
+// free returns the lowest invalid way, or ok=false when the set is full.
+func (s *Set) free() (way int, ok bool) {
+	way = bits.TrailingZeros64(^s.valid)
+	return way, way < len(s.ways)
+}
+
+// fill installs a fresh entry for tag in the given way, marking it valid
+// and most-recently-used.
+func (s *Set) fill(way int, tag uint64, replica bool) {
+	s.ways[way] = Entry{Tag: tag, Replica: replica, LastCPU: -1}
+	s.valid |= 1 << uint(way)
+	s.plru.touch(way)
+}
+
+// Lookup finds a valid entry with the given tag, returning its way (the
+// lowest, should two ways hold the tag).
 func (s *Set) Lookup(tag uint64) (way int, ok bool) {
-	for i := range s.ways {
-		if s.ways[i].Valid && s.ways[i].Tag == tag {
-			return i, true
+	for m := s.valid; m != 0; m &= m - 1 {
+		if w := bits.TrailingZeros64(m); s.ways[w].Tag == tag {
+			return w, true
 		}
 	}
 	return 0, false
@@ -171,10 +190,8 @@ func (s *Set) Touch(way int) { s.plru.touch(way) }
 // Victim returns the way to evict: an invalid way if one exists, otherwise
 // the pseudo-LRU choice.
 func (s *Set) Victim() int {
-	for i := range s.ways {
-		if !s.ways[i].Valid {
-			return i
-		}
+	if way, ok := s.free(); ok {
+		return way
 	}
 	return s.plru.victim()
 }
@@ -185,9 +202,8 @@ func (s *Set) Victim() int {
 // sharers and is marked most-recently-used.
 func (s *Set) Insert(tag uint64) (way int, evicted Entry, ok bool) {
 	way = s.Victim()
-	evicted, ok = s.ways[way], s.ways[way].Valid
-	s.ways[way] = Entry{Tag: tag, Valid: true, LastCPU: -1}
-	s.plru.touch(way)
+	evicted, ok = s.ways[way], s.Valid(way)
+	s.fill(way, tag, false)
 	return way, evicted, ok
 }
 
@@ -195,14 +211,11 @@ func (s *Set) Insert(tag uint64) (way int, evicted Entry, ok bool) {
 // reporting failure when the set is full. Cache warm-up uses it to build a
 // steady state without displacing already-placed lines.
 func (s *Set) InsertFree(tag uint64) (way int, ok bool) {
-	for i := range s.ways {
-		if !s.ways[i].Valid {
-			s.ways[i] = Entry{Tag: tag, Valid: true, LastCPU: -1}
-			s.plru.touch(i)
-			return i, true
-		}
+	if way, ok = s.free(); !ok {
+		return 0, false
 	}
-	return 0, false
+	s.fill(way, tag, false)
+	return way, true
 }
 
 // InsertReplica places a read-only replica into the set, displacing only an
@@ -211,44 +224,34 @@ func (s *Set) InsertFree(tag uint64) (way int, ok bool) {
 // holds a non-replica line, and returns any displaced replica so its
 // bookkeeping can be cleaned up.
 func (s *Set) InsertReplica(tag uint64) (way int, displaced Entry, hadDisplaced, ok bool) {
-	victim := -1
-	for i := range s.ways {
-		if !s.ways[i].Valid {
-			victim = i
-			break
+	way, ok = s.free()
+	if !ok {
+		for w := range s.ways {
+			if s.ways[w].Replica {
+				way, displaced, hadDisplaced, ok = w, s.ways[w], true, true
+				break
+			}
 		}
-		if s.ways[i].Replica && victim < 0 {
-			victim = i
+		if !ok {
+			return 0, Entry{}, false, false
 		}
 	}
-	if victim < 0 {
-		return 0, Entry{}, false, false
-	}
-	displaced, hadDisplaced = s.ways[victim], s.ways[victim].Valid
-	s.ways[victim] = Entry{Tag: tag, Valid: true, Replica: true, LastCPU: -1}
-	s.plru.touch(victim)
-	return victim, displaced, hadDisplaced, true
+	s.fill(way, tag, true)
+	return way, displaced, hadDisplaced, true
 }
 
 // Invalidate clears the entry holding tag, reporting whether it was found.
 func (s *Set) Invalidate(tag uint64) bool {
-	if way, ok := s.Lookup(tag); ok {
+	way, ok := s.Lookup(tag)
+	if ok {
 		s.ways[way] = Entry{}
-		return true
+		s.valid &^= 1 << uint(way)
 	}
-	return false
+	return ok
 }
 
 // ValidCount returns the number of valid entries.
-func (s *Set) ValidCount() int {
-	n := 0
-	for i := range s.ways {
-		if s.ways[i].Valid {
-			n++
-		}
-	}
-	return n
-}
+func (s *Set) ValidCount() int { return bits.OnesCount64(s.valid) }
 
 // Bank is one L2 cache bank: an array of sets. Access timing (the 5-cycle
 // bank access of Table 4) is charged by the L2 controller, not here.
@@ -259,11 +262,15 @@ type Bank struct {
 	Writes uint64
 }
 
-// NewBank builds a bank with the given set count and associativity.
+// NewBank builds a bank with the given set count and associativity (a
+// power of two up to MaxWays). Every set's entries are capped windows of
+// one slab, so a bank costs three allocations whatever its size.
 func NewBank(sets, ways int) *Bank {
+	plru := newPLRU(ways)
+	slab := make([]Entry, sets*ways)
 	b := &Bank{sets: make([]Set, sets)}
 	for i := range b.sets {
-		b.sets[i] = newSet(ways)
+		b.sets[i] = Set{ways: slab[i*ways : (i+1)*ways : (i+1)*ways], plru: plru}
 	}
 	return b
 }

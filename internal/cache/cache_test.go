@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// newSet builds a lone set of the given associativity.
+func newSet(ways int) *Set { return NewBank(1, ways).Set(0) }
+
 func TestDefaultGeometry(t *testing.T) {
 	g := DefaultGeometry()
 	if err := g.Validate(); err != nil {
@@ -28,11 +31,17 @@ func TestGeometryValidateRejects(t *testing.T) {
 		{Clusters: 16, BanksPerCluster: 16, SetsPerBank: -2, Ways: 16, LineBytes: 64},
 		{Clusters: 16, BanksPerCluster: 16, SetsPerBank: 64, Ways: 12, LineBytes: 64},
 		{Clusters: 16, BanksPerCluster: 16, SetsPerBank: 64, Ways: 16, LineBytes: 48},
+		{Clusters: 16, BanksPerCluster: 16, SetsPerBank: 64, Ways: 128, LineBytes: 64},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, g)
 		}
+	}
+	widest := DefaultGeometry()
+	widest.Ways = MaxWays
+	if err := widest.Validate(); err != nil {
+		t.Errorf("Validate rejected %d ways: %v", MaxWays, err)
 	}
 }
 
@@ -119,12 +128,18 @@ func TestSetEvictsWhenFull(t *testing.T) {
 	if s.ValidCount() != 4 {
 		t.Fatalf("ValidCount = %d", s.ValidCount())
 	}
-	_, evictedEntry, ev := s.Insert(99)
+	way, evictedEntry, ev := s.Insert(99)
 	if !ev {
 		t.Fatal("full set must evict")
 	}
-	if !evictedEntry.Valid {
-		t.Fatal("evicted entry must have been valid")
+	if evictedEntry.Tag >= 4 {
+		t.Fatalf("evicted %+v, want one of the resident lines", evictedEntry)
+	}
+	if _, ok := s.Lookup(evictedEntry.Tag); ok {
+		t.Fatalf("evicted tag %d still present", evictedEntry.Tag)
+	}
+	if !s.Valid(way) {
+		t.Fatalf("way %d holding the new tag is not valid", way)
 	}
 	if _, ok := s.Lookup(99); !ok {
 		t.Fatal("new tag not present")

@@ -3,8 +3,8 @@ package cache
 import "repro/internal/digest"
 
 // DigestFold folds the bank's access counters and the full tag array —
-// every way's tag, coherence/migration bits, sharer vector, and the
-// per-set PLRU bits — into the recorder's current lane. Entries fold as
+// every way's tag, valid/coherence/migration bits, sharer vector, and the
+// per-set PLRU word — into the recorder's current lane. Entries fold as
 // two packed words each so a full L2 sweep stays cheap enough for
 // per-cycle digesting during divergence refinement.
 func (b *Bank) DigestFold(r *digest.Recorder) {
@@ -12,19 +12,10 @@ func (b *Bank) DigestFold(r *digest.Recorder) {
 	r.Fold(b.Writes)
 	for i := range b.sets {
 		s := &b.sets[i]
-		var plru uint64
-		for j, bit := range s.plru.bits {
-			if bit {
-				plru |= 1 << uint(j)
-			}
-		}
-		r.Fold(plru)
+		r.Fold(s.plru.bits)
 		for w := range s.ways {
 			e := &s.ways[w]
-			var flags uint64
-			if e.Valid {
-				flags |= 1
-			}
+			flags := s.valid >> uint(w) & 1
 			if e.Dirty {
 				flags |= 2
 			}

@@ -210,8 +210,11 @@ func (c Config) Validate() error {
 	if c.L2.Clusters%c.Layers != 0 {
 		return fmt.Errorf("config: %d clusters not divisible by %d layers", c.L2.Clusters, c.Layers)
 	}
-	if c.L1Sets < 1 || c.L1Ways < 1 {
-		return fmt.Errorf("config: invalid L1 %dx%d", c.L1Sets, c.L1Ways)
+	if c.L1Sets < 1 {
+		return fmt.Errorf("config: L1Sets = %d must be >= 1", c.L1Sets)
+	}
+	if w := c.L1Ways; w < 1 || w > cache.MaxWays || w&(w-1) != 0 {
+		return fmt.Errorf("config: L1Ways = %d must be a power of two from 1 to %d", w, cache.MaxWays)
 	}
 	for name, v := range map[string]int{
 		"L1HitCycles": c.L1HitCycles, "L2BankCycles": c.L2BankCycles,

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -78,6 +79,25 @@ func TestValidateRejects(t *testing.T) {
 	c.MigrationThreshold = 0
 	if c.Validate() == nil {
 		t.Error("threshold 0 must fail")
+	}
+	// Set replacement needs power-of-two associativity, and a set records
+	// its valid ways in one 64-bit mask.
+	for _, ways := range []int{0, 3, 12, 128} {
+		c = Default(CMPDNUCA3D)
+		c.L1Ways = ways
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "L1Ways") {
+			t.Errorf("L1Ways = %d: Validate = %v, want an error naming L1Ways", ways, err)
+		}
+	}
+	c = Default(CMPDNUCA3D)
+	c.L2.Ways = 128
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "Ways") {
+		t.Errorf("L2 Ways = 128: Validate = %v, want an error naming Ways", err)
+	}
+	c = Default(CMPDNUCA3D)
+	c.L1Ways = 64
+	if err := c.Validate(); err != nil {
+		t.Errorf("L1Ways = 64 must pass: %v", err)
 	}
 }
 

@@ -145,8 +145,9 @@ func TestReplicaNeverDisplacesPrimary(t *testing.T) {
 	if ok && local.set(p).Way(way).Replica {
 		t.Error("replica displaced an authoritative line")
 	}
-	for w := 0; w < local.set(p).Ways(); w++ {
-		if e := local.set(p).Way(w); e.Valid && e.Replica {
+	set := local.set(p)
+	for w := 0; w < set.Ways(); w++ {
+		if set.Valid(w) && set.Way(w).Replica {
 			t.Error("a replica appeared in a set full of primaries")
 		}
 	}

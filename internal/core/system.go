@@ -853,7 +853,7 @@ func (s *System) CheckReplicaConsistency() error {
 				set := bank.Set(si)
 				for w := 0; w < set.Ways(); w++ {
 					e := set.Way(w)
-					if !e.Valid || !e.Replica {
+					if !set.Valid(w) || !e.Replica {
 						continue
 					}
 					addr := s.Cfg.L2.LineOf(cache.Place{Bank: b, Set: si, Tag: e.Tag})
@@ -895,7 +895,7 @@ func (s *System) CheckSingleCopy() error {
 				set := bank.Set(si)
 				for w := 0; w < set.Ways(); w++ {
 					e := set.Way(w)
-					if !e.Valid || e.Replica {
+					if !set.Valid(w) || e.Replica {
 						continue
 					}
 					addr := s.Cfg.L2.LineOf(cache.Place{Bank: b, Set: si, Tag: e.Tag})

@@ -33,33 +33,17 @@ func (s *System) Warm(seed uint64) {
 		return // stream-driven system: use WarmAddresses instead
 	}
 	rng := rand.New(rand.NewSource(int64(seed)*2654435761 + 1))
-
-	// homeChains[h] is the placement order for a line whose home is cluster
-	// h: the home itself, then same-layer clusters by distance (processor
-	// clusters last) — the spill pattern insert-time evictions produce.
-	// A static NUCA can only ever look at the home cluster, so for
-	// non-migrating schemes the chain is the home alone: lines that do not
-	// fit stay uncached and contend at the home sets on demand, exactly as
-	// the real scheme would behave.
-	homeChains := make([][]int, s.Top.NumClusters())
-	for h := range homeChains {
-		if s.Cfg.Scheme.Migrates() {
-			homeChains[h] = s.spillChain(h)
-		} else {
-			homeChains[h] = []int{h}
-		}
-	}
+	homeChains := s.homeChains()
 	// vicinity chains depend only on (cpu, layer); memoize across the
 	// millions of per-line placements.
-	vicinity := make(map[[2]int][]int)
+	layers := s.Top.Dim.Layers
+	vicinity := make([][]int, len(s.CPUs)*layers)
 	chainFor := func(cpu, layer int) []int {
-		key := [2]int{cpu, layer}
-		if c, ok := vicinity[key]; ok {
-			return c
+		c := &vicinity[cpu*layers+layer]
+		if *c == nil {
+			*c = s.vicinityChain(cpu, layer)
 		}
-		c := s.vicinityChain(cpu, layer)
-		vicinity[key] = c
-		return c
+		return *c
 	}
 
 	// Shared data and code regions at home clusters, once per distinct
@@ -73,14 +57,14 @@ func (s *System) Warm(seed uint64) {
 		code := p.CodeRegion()
 		for i := 0; i < code.Len(); i++ {
 			addr := code.Line(i)
-			home := s.Cfg.L2.PlaceOf(addr).HomeCluster
-			s.warmPlace(addr, homeChains[home], 0, false, -1, 0)
+			pl := s.Cfg.L2.PlaceOf(addr)
+			s.warmPlace(addr, pl, homeChains[pl.HomeCluster], 0, false, -1, 0)
 		}
 		shared := p.SharedRegion()
 		for i := 0; i < shared.Len(); i++ {
 			addr := shared.Line(i)
-			home := s.Cfg.L2.PlaceOf(addr).HomeCluster
-			s.warmPlace(addr, homeChains[home], 0, false, -1, 0)
+			pl := s.Cfg.L2.PlaceOf(addr)
+			s.warmPlace(addr, pl, homeChains[pl.HomeCluster], 0, false, -1, 0)
 		}
 	}
 
@@ -126,11 +110,12 @@ func (s *System) Warm(seed uint64) {
 		for i := 0; i < hot.Len(); i++ {
 			addr := hot.Line(i)
 			c.l1.install(addr, true)
-			chain := []int{s.Cfg.L2.PlaceOf(addr).HomeCluster}
+			pl := s.Cfg.L2.PlaceOf(addr)
+			chain := homeChains[pl.HomeCluster]
 			if s.Cfg.Scheme.Migrates() {
 				chain = chainFor(id, c.pos.Layer)
 			}
-			s.warmPlace(addr, chain, 1<<uint(id), true, int8(id), 0)
+			s.warmPlace(addr, pl, chain, 1<<uint(id), true, int8(id), 0)
 		}
 
 		// Private streaming region. Un-localized lines are mid-migration in
@@ -142,16 +127,17 @@ func (s *System) Warm(seed uint64) {
 			pending = uint8(s.Cfg.MigrationThreshold - 1)
 		}
 		localized := localizedFor(p)
-		for i := 0; i < p.PrivateLines; i++ {
-			addr := p.StreamLine(id, i)
-			home := s.Cfg.L2.PlaceOf(addr).HomeCluster
-			chain := homeChains[home]
+		stream := p.StreamRegion(id)
+		for i := 0; i < stream.Len(); i++ {
+			addr := stream.Line(i)
+			pl := s.Cfg.L2.PlaceOf(addr)
+			chain := homeChains[pl.HomeCluster]
 			hits := pending
 			if rng.Float64() < localized {
-				chain = chainFor(id, s.Top.ClusterLayer(home))
+				chain = chainFor(id, s.Top.ClusterLayer(pl.HomeCluster))
 				hits = 0 // settled lines are not mid-migration
 			}
-			s.warmPlace(addr, chain, 0, false, int8(id), hits)
+			s.warmPlace(addr, pl, chain, 0, false, int8(id), hits)
 		}
 	}
 }
@@ -160,18 +146,30 @@ func (s *System) Warm(seed uint64) {
 // scheme's spill behavior) — the warm-up path for stream-driven systems,
 // whose footprints come from the trace rather than a profile.
 func (s *System) WarmAddresses(addrs []cache.LineAddr) {
-	homeChains := make([][]int, s.Top.NumClusters())
-	for h := range homeChains {
+	homeChains := s.homeChains()
+	for _, addr := range addrs {
+		p := s.Cfg.L2.PlaceOf(addr)
+		s.warmPlace(addr, p, homeChains[p.HomeCluster], 0, false, -1, 0)
+	}
+}
+
+// homeChains returns, for each cluster h, the placement order for a line
+// whose home is h: the home itself, then same-layer clusters by distance
+// (processor clusters last) — the spill pattern insert-time evictions
+// produce. A static NUCA can only ever look at the home cluster, so for
+// non-migrating schemes the chain is the home alone: lines that do not fit
+// stay uncached and contend at the home sets on demand, exactly as the real
+// scheme would behave.
+func (s *System) homeChains() [][]int {
+	chains := make([][]int, s.Top.NumClusters())
+	for h := range chains {
 		if s.Cfg.Scheme.Migrates() {
-			homeChains[h] = s.spillChain(h)
+			chains[h] = s.spillChain(h)
 		} else {
-			homeChains[h] = []int{h}
+			chains[h] = []int{h}
 		}
 	}
-	for _, addr := range addrs {
-		home := s.Cfg.L2.PlaceOf(addr).HomeCluster
-		s.warmPlace(addr, homeChains[home], 0, false, -1, 0)
-	}
+	return chains
 }
 
 // spillChain orders the clusters of a home cluster's layer for placing
@@ -216,13 +214,13 @@ func (s *System) spillChain(home int) []int {
 	return out
 }
 
-// warmPlace installs a line into the first cluster in the preference chain
-// with a free way, without evicting. Already-placed lines are left alone.
-func (s *System) warmPlace(addr cache.LineAddr, chain []int, sharers uint16, dirty bool, lastCPU int8, hits uint8) {
+// warmPlace installs a line, placed at p, into the first cluster in the
+// preference chain with a free way, without evicting. Already-placed lines
+// are left alone.
+func (s *System) warmPlace(addr cache.LineAddr, p cache.Place, chain []int, sharers uint16, dirty bool, lastCPU int8, hits uint8) {
 	if _, ok := s.lineDir.Get(addr); ok {
 		return
 	}
-	p := s.Cfg.L2.PlaceOf(addr)
 	for _, cl := range chain {
 		set := s.Clusters[cl].set(p)
 		if way, ok := set.InsertFree(p.Tag); ok {

@@ -133,6 +133,22 @@ func TestHeatmapOutput(t *testing.T) {
 	}
 }
 
+// TestNewSystemAllocs pins machine construction's allocation count. Each
+// bank's sets are windows of one entry slab, so the default machine's 16k
+// L2 sets and 8k L1 sets cost three allocations per bank, not two per set.
+func TestNewSystemAllocs(t *testing.T) {
+	cfg := config.Default(config.CMPDNUCA3D)
+	prof, _ := trace.ProfileByName("mgrid", cfg.NumCPUs)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewSystem(cfg, prof, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10000 {
+		t.Errorf("NewSystem made %.0f allocations, want at most 10000", allocs)
+	}
+}
+
 // warmSink keeps BenchmarkWarm's machines live so the work is not elided.
 var warmSink *System
 

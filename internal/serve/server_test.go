@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/config"
 )
 
 // tinyBody is a small but real job: a full 3D machine, short windows,
@@ -624,11 +626,20 @@ func TestBadRequests(t *testing.T) {
 	// would be dropped without the client learning it is gone.
 	// So are DTM strings that do not parse (the check Instrument runs):
 	// such a job would otherwise warm and settle a machine before failing.
+	// So is a complete config whose L1 associativity a set cannot hold:
+	// building that machine would panic in the worker.
+	cfg := config.Default(config.CMPDNUCA3D)
+	cfg.L1Ways = 3
+	badWays, err := json.Marshal(JobRequest{Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for field, body := range map[string]string{
 		"measure_cyles": `{"scheme":"dnuca3d","measure_cyles":1000}`,
 		"shards":        `{"scheme":"dnuca3d","shards":2}`,
 		"bogus":         `{"scheme":"dnuca3d","dtm_policy":"bogus"}`,
 		"9/4":           `{"scheme":"dnuca3d","dtm_policy":"duty","duty_cycle":"9/4"}`,
+		"L1Ways":        string(badWays),
 	} {
 		if resp, out := post(t, ts.URL+"/jobs", body); resp.StatusCode != http.StatusBadRequest ||
 			!strings.Contains(string(out), field) {

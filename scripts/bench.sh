@@ -14,6 +14,9 @@
 #                                    disabled controller vs all actuators
 #   BenchmarkServeOverhead/*       — serving tax: direct runner.Run vs a
 #                                    daemon POST ?wait=1 round-trip
+#   BenchmarkWarm/*                — machine set-up: NewSystem plus Warm
+#                                    on mgrid, "default" and "stacked"
+#                                    machines (time, bytes, allocations)
 #
 # Usage: scripts/bench.sh                          (2s per benchmark)
 #        BENCHTIME=5s scripts/bench.sh
@@ -51,11 +54,11 @@ if [ "${1:-}" = "--compare" ]; then
 	fi
 fi
 
-pattern='BenchmarkSimulatorThroughput$|BenchmarkEventQueue|BenchmarkDTMOverhead|BenchmarkServeOverhead'
+pattern='BenchmarkSimulatorThroughput$|BenchmarkEventQueue|BenchmarkDTMOverhead|BenchmarkServeOverhead|BenchmarkWarm$'
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-for pkg in . ./internal/sim ./internal/serve; do
+for pkg in . ./internal/sim ./internal/serve ./internal/core; do
 	go test -run '^$' -bench "$pattern" -benchmem \
 		-benchtime "${BENCHTIME:-2s}" "$pkg"
 done | tee "$raw"
