@@ -58,6 +58,13 @@ func main() {
 	)
 	flag.Parse()
 
+	sel := selection{
+		all: *all, table: *table, figure: *figure, seeds: *seeds,
+		ablations: *ablate, breakdown: *brkdown, thermal: *thermRun, dtm: *dtmRun, scaling: *scaling,
+	}
+	if err := sel.check(); err != nil {
+		fatal(err)
+	}
 	names, err := benchNames(*benches)
 	if err != nil {
 		fatal(err)
@@ -70,10 +77,7 @@ func main() {
 		csvOut = *csvDir
 	}
 
-	secs := sections(selection{
-		all: *all, table: *table, figure: *figure, seeds: *seeds,
-		ablations: *ablate, breakdown: *brkdown, thermal: *thermRun, dtm: *dtmRun, scaling: *scaling,
-	}, names, opt)
+	secs := sections(sel, names, opt)
 	if len(secs) == 0 && !*profRun {
 		flag.Usage()
 		os.Exit(2)
@@ -113,6 +117,21 @@ type selection struct {
 	all                                         bool
 	table, figure, seeds                        int
 	ablations, breakdown, thermal, dtm, scaling bool
+}
+
+// check rejects a -table, -figure or -seeds value that selects nothing,
+// so a typo fails instead of silently printing less than was asked for.
+// Zero leaves each unset.
+func (sel selection) check() error {
+	switch {
+	case sel.table < 0 || sel.table > 5:
+		return fmt.Errorf("-table %d: want 1..5", sel.table)
+	case sel.figure != 0 && (sel.figure < 13 || sel.figure > 18):
+		return fmt.Errorf("-figure %d: want 13..18", sel.figure)
+	case sel.seeds < 0:
+		return fmt.Errorf("-seeds %d: want a count >= 0", sel.seeds)
+	}
+	return nil
 }
 
 // sections returns the selected sections in print order.

@@ -66,6 +66,19 @@ func TestFailedJobSurfacesAtItsSection(t *testing.T) {
 	}
 }
 
+func TestSelectionCheck(t *testing.T) {
+	for _, sel := range []selection{{}, {all: true}, {table: 1}, {table: 5}, {figure: 13}, {figure: 18}, {seeds: 3}} {
+		if err := sel.check(); err != nil {
+			t.Errorf("%+v: %v, want accepted", sel, err)
+		}
+	}
+	for _, sel := range []selection{{table: 9}, {table: -1}, {table: 1, figure: 99}, {figure: 12}, {figure: 13, seeds: -3}} {
+		if err := sel.check(); err == nil {
+			t.Errorf("%+v accepted, want an error", sel)
+		}
+	}
+}
+
 func TestBenchNames(t *testing.T) {
 	all, err := benchNames("")
 	if err != nil || len(all) != 9 {

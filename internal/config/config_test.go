@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -204,6 +205,55 @@ func TestTopologyStacked(t *testing.T) {
 	}
 	if !found {
 		t.Error("StackCPUs placement has no vertical stacking")
+	}
+}
+
+// TestTopologyPlacesEveryCPU sweeps the machine shapes Validate accepts:
+// each must either be refused by NewTopology or get one distinct in-mesh
+// node per CPU. Stacking more CPUs than pillars × layers passes Validate,
+// so NewTopology is what must refuse it: NewSystem indexes the placement
+// by CPU.
+func TestTopologyPlacesEveryCPU(t *testing.T) {
+	for _, scheme := range []Scheme{CMPDNUCA, CMPDNUCA2D, CMPSNUCA3D, CMPDNUCA3D} {
+		for ncpu := 1; ncpu <= 16; ncpu++ {
+			for _, pillars := range []int{1, 2, 4, 8, 16} {
+				for _, layers := range []int{1, 2, 4, 8} {
+					for _, stack := range []bool{false, true} {
+						c := Default(scheme)
+						c.NumCPUs, c.NumPillars, c.Layers, c.StackCPUs = ncpu, pillars, layers, stack
+						if c.Validate() != nil {
+							continue
+						}
+						checkPlacesEveryCPU(t, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkPlacesEveryCPU(t *testing.T, c Config) {
+	t.Helper()
+	name := fmt.Sprintf("%v cpus=%d pillars=%d layers=%d stack=%v",
+		c.Scheme, c.NumCPUs, c.NumPillars, c.Layers, c.StackCPUs)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%s: NewTopology panicked: %v", name, r)
+		}
+	}()
+	top, err := NewTopology(c)
+	if err != nil {
+		return
+	}
+	if len(top.CPUs) != c.NumCPUs {
+		t.Errorf("%s: placed %d CPUs", name, len(top.CPUs))
+	}
+	seen := map[geom.Coord]bool{}
+	for _, cpu := range top.CPUs {
+		if !top.Dim.Contains(cpu) || seen[cpu] {
+			t.Errorf("%s: CPU at %v is outside the mesh or shares a node", name, cpu)
+		}
+		seen[cpu] = true
 	}
 }
 

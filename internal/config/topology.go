@@ -53,7 +53,10 @@ func NewTopology(c Config) (*Topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.CPUs = cpus
+	if len(cpus) < c.NumCPUs {
+		return nil, fmt.Errorf("config: CPU placement has %d slots for %d CPUs", len(cpus), c.NumCPUs)
+	}
+	t.CPUs = cpus[:c.NumCPUs]
 	if err := placement.Validate(t.CPUs, t.Dim); err != nil {
 		return nil, err
 	}
@@ -63,7 +66,8 @@ func NewTopology(c Config) (*Topology, error) {
 // placeCPUs chooses the CPU placement strategy for the configured scheme:
 // edge placement for the CMP-DNUCA baseline; optimal 3D offsetting when
 // every CPU has its own pillar; Algorithm 1 when pillars are shared; or
-// vertical stacking when explicitly requested as a baseline.
+// vertical stacking when explicitly requested as a baseline. A strategy
+// may return more or fewer slots than CPUs; NewTopology checks the count.
 func (t *Topology) placeCPUs() ([]geom.Coord, error) {
 	c := t.Cfg
 	if c.Scheme == CMPDNUCA {
@@ -73,8 +77,7 @@ func (t *Topology) placeCPUs() ([]geom.Coord, error) {
 		return placement.Stacked(t.Pillars, c.Layers, c.NumCPUs), nil
 	}
 	if c.NumPillars >= c.NumCPUs {
-		cpus := placement.Optimal(t.Pillars, t.PillarGridW, c.Layers)
-		return cpus[:c.NumCPUs], nil
+		return placement.Optimal(t.Pillars, t.PillarGridW, c.Layers), nil
 	}
 	// Pillars are shared: CPUs per pillar per layer, rounded up.
 	slots := c.NumPillars * c.Layers
@@ -82,14 +85,7 @@ func (t *Topology) placeCPUs() ([]geom.Coord, error) {
 	if cpp == 3 {
 		cpp = 4
 	}
-	cpus, err := placement.Algorithm1(t.Pillars, t.Dim, c.Layers, cpp, c.OffsetK)
-	if err != nil {
-		return nil, err
-	}
-	if len(cpus) < c.NumCPUs {
-		return nil, fmt.Errorf("config: placement yielded %d slots for %d CPUs", len(cpus), c.NumCPUs)
-	}
-	return cpus[:c.NumCPUs], nil
+	return placement.Algorithm1(t.Pillars, t.Dim, c.Layers, cpp, c.OffsetK)
 }
 
 // NumClusters returns the total cluster count.

@@ -228,10 +228,9 @@ func (s *System) refreshProbe() {
 // Measurement is host-side only: monotonic clock deltas folded into
 // value-typed accumulators, nothing fed back into simulation state — so
 // an attached run is bit-identical to a detached one (the contract is
-// pinned by TestProfileDoesNotPerturb) and idle-cycle skipping stays
-// engaged. Attach any time; idempotent (subsequent calls return the same
-// recorder). Attach before Warm to profile the whole run, since
-// attribution starts at attachment.
+// pinned by TestProfileDoesNotPerturb). Attach any time; idempotent
+// (subsequent calls return the same recorder). Attach before Warm to
+// profile the whole run, since attribution starts at attachment.
 func (s *System) AttachProfile() *prof.Recorder {
 	if s.hostProf != nil {
 		return s.hostProf
@@ -242,14 +241,11 @@ func (s *System) AttachProfile() *prof.Recorder {
 	return rec
 }
 
-// eventPhase classifies a typed engine event for the profiler: the CPU
+// eventPhase classifies an engine event for the profiler: the CPU
 // pipeline kinds are the core's fetch-execute loop; everything else —
-// cluster serves, migrations, replicas, memory path, and any legacy
-// closure — is protocol work.
-func eventPhase(kind uint8, closure bool) prof.Phase {
-	if closure {
-		return prof.PhaseProtocol
-	}
+// cluster serves, migrations, replicas and the memory path — is protocol
+// work.
+func eventPhase(kind uint8) prof.Phase {
 	switch kind {
 	case evCPUStep, evCPUAccess, evCPUIfetch, evCPUData, evCPULoadMiss:
 		return prof.PhaseCPU

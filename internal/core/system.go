@@ -131,8 +131,9 @@ type System struct {
 	dtm *dtm.Controller
 
 	// spans, when non-nil, records per-transaction latency spans
-	// (Instruments.RecordSpans). Unlike obsProbe it is not a fabric probe
-	// and registers no tickers, so idle-cycle skipping stays engaged.
+	// (Instruments.RecordSpans). Unlike obsProbe it is not a fabric
+	// probe, so a quiet network's Tick stays a no-op, and it registers no
+	// tickers.
 	spans *obs.SpanRecorder
 
 	// sampler, when non-nil, is the interval metrics sampler (see

@@ -35,12 +35,31 @@ func lineAt(s *System, addr cache.LineAddr) int {
 	return -1
 }
 
-// drain runs the engine until no transactions remain outstanding.
+// drain steps the engine until no transactions remain outstanding.
 func drain(t *testing.T, s *System) {
 	t.Helper()
-	ok := s.Engine.RunUntil(func() bool { return len(s.txns) == 0 }, s.Engine.Now()+100000)
-	if !ok {
-		t.Fatalf("transactions stuck: %d outstanding", len(s.txns))
+	for limit := s.Engine.Now() + 100000; len(s.txns) > 0; s.Engine.Step() {
+		if s.Engine.Now() >= limit {
+			t.Fatalf("transactions stuck: %d outstanding", len(s.txns))
+		}
+	}
+}
+
+// TestNewSystemRejectsUnplacedCPUs: eight CPUs stacked on two pillars of
+// a two-layer chip have four slots. Validate accepts the config, so
+// NewSystem must return the topology's error rather than index past the
+// placement.
+func TestNewSystemRejectsUnplacedCPUs(t *testing.T) {
+	cfg := config.Default(config.CMPDNUCA3D)
+	cfg.NumPillars, cfg.StackCPUs = 2, true
+	prof, _ := trace.ProfileByName("mgrid", cfg.NumCPUs)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("NewSystem panicked: %v", r)
+		}
+	}()
+	if _, err := NewSystem(cfg, prof, 1); err == nil {
+		t.Fatal("NewSystem accepted 8 stacked CPUs on 2 pillars x 2 layers")
 	}
 }
 
@@ -419,11 +438,10 @@ func TestDeterminism(t *testing.T) {
 // the controller engages inside the window) and a sampler whose odd
 // period makes samples straddle chunk edges. 3D schemes are stacked to
 // four layers, the hottest placement with the most pillar traffic. A
-// non-zero chunk cuts the window into Run calls of that many cycles; step
-// turns idle-cycle skipping off; profile attaches the host profiler.
-// Returns the Results, without the host-dependent Profile, and the
-// sampler's CSV time series.
-func managedRun(t *testing.T, scheme config.Scheme, chunk uint64, step, profile bool) ([]byte, []byte) {
+// non-zero chunk cuts the window into Run calls of that many cycles;
+// profile attaches the host profiler. Returns the Results, without the
+// host-dependent Profile, and the sampler's CSV time series.
+func managedRun(t *testing.T, scheme config.Scheme, chunk uint64, profile bool) ([]byte, []byte) {
 	t.Helper()
 	cfg := config.Default(scheme)
 	if scheme.Is3D() {
@@ -440,7 +458,6 @@ func managedRun(t *testing.T, scheme config.Scheme, chunk uint64, step, profile 
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Engine.SetIdleSkip(!step)
 	if err := s.Instrument(Instruments{ThermalInterval: 1_000, SampleInterval: 777, Profile: profile}); err != nil {
 		t.Fatal(err)
 	}
@@ -471,35 +488,24 @@ func managedRun(t *testing.T, scheme config.Scheme, chunk uint64, step, profile 
 // TestShardedDeterminism keeps the determinism contract of the managed
 // machine — thermal, DTM and sampler attached — now that the network
 // runs on one serial path (the layer-sharded variant it was named for is
-// gone; DESIGN.md §15). The serial engine can still execute a window more
-// than one way: in one Run call or in uneven chunks with the profiler
-// attached, as the runner does for progress hooks, and with idle-cycle
-// skipping on or off. Every way must give byte-identical Results and
-// sampler time series, for every scheme.
+// gone; DESIGN.md §15). The serial engine can still execute a window in
+// one Run call or in uneven chunks with the profiler attached, as the
+// runner does for progress hooks. Both must give byte-identical Results
+// and sampler time series, for every scheme.
 func TestShardedDeterminism(t *testing.T) {
 	schemes := []config.Scheme{
 		config.CMPDNUCA, config.CMPDNUCA2D, config.CMPSNUCA3D, config.CMPDNUCA3D,
 	}
 	for _, scheme := range schemes {
 		t.Run(scheme.String(), func(t *testing.T) {
-			wantRes, wantSeries := managedRun(t, scheme, 0, false, false)
-			for _, v := range []struct {
-				name          string
-				chunk         uint64
-				step, profile bool
-			}{
-				{"chunked+profiled", 1_337, false, true},
-				{"stepped", 0, true, false},
-			} {
-				res, series := managedRun(t, scheme, v.chunk, v.step, v.profile)
-				if !bytes.Equal(wantRes, res) {
-					t.Fatalf("%s run diverged from one-shot:\none-shot %s\n%-8s %s",
-						v.name, wantRes, v.name, res)
-				}
-				if !bytes.Equal(wantSeries, series) {
-					t.Fatalf("%s sampler series diverged from one-shot:\none-shot:\n%s\n%s:\n%s",
-						v.name, wantSeries, v.name, series)
-				}
+			wantRes, wantSeries := managedRun(t, scheme, 0, false)
+			res, series := managedRun(t, scheme, 1_337, true)
+			if !bytes.Equal(wantRes, res) {
+				t.Fatalf("chunked+profiled run diverged from one-shot:\none-shot %s\nchunked  %s", wantRes, res)
+			}
+			if !bytes.Equal(wantSeries, series) {
+				t.Fatalf("chunked+profiled sampler series diverged from one-shot:\none-shot:\n%s\nchunked:\n%s",
+					wantSeries, series)
 			}
 		})
 	}

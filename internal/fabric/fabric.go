@@ -418,10 +418,3 @@ func (f *Fabric) quiescentScan() bool {
 	}
 	return true
 }
-
-// Idle reports whether advancing the fabric one cycle would be a no-op, so
-// the engine may skip ahead. A probed fabric is never idle: the dTDMA slot
-// wheel emits grow/shrink edge events even on empty cycles.
-func (f *Fabric) Idle() bool {
-	return f.probe == nil && len(f.activeList) == 0 && f.busyBuses == 0
-}

@@ -242,8 +242,8 @@ func newClassAgg() classAgg {
 // System cold (never on the default path): transactions then carry a
 // TxnSpan and every attempt a ChainSpan, both drawn from free lists, so
 // steady-state recording allocates nothing. The recorder is not an engine
-// ticker and not a fabric probe, so attaching it leaves idle-cycle
-// skipping engaged.
+// ticker and not a fabric probe, so attaching it leaves a quiet network's
+// Tick a no-op.
 type SpanRecorder struct {
 	sink Sink // optional: per-interval EvSpan emission
 

@@ -53,7 +53,6 @@ func TestReportShares(t *testing.T) {
 	r.Record(PhaseCPU, 300)
 	r.Record(PhaseProtocol, 200)
 	r.Record(PhaseNet, 400)
-	r.steps = 7
 	r.runNs = 1000 // 100ns residual -> engine
 	r.cycles = 50
 	r.runs = 1
@@ -73,8 +72,8 @@ func TestReportShares(t *testing.T) {
 	if engine == nil || engine.Seconds < 99e-9 || engine.Seconds > 101e-9 {
 		t.Fatalf("engine residual = %+v, want 100ns", engine)
 	}
-	if engine.Count != 7 {
-		t.Fatalf("engine count = %d, want steps (7)", engine.Count)
+	if engine.Count != 50 || rep.Steps != 50 {
+		t.Fatalf("engine count = %d, steps = %d; want one step per cycle (50)", engine.Count, rep.Steps)
 	}
 	if rep.CyclesPerSec != 50e9/1000 {
 		t.Fatalf("cycles/sec = %v", rep.CyclesPerSec)
@@ -141,7 +140,7 @@ func TestWriteTimeline(t *testing.T) {
 func TestWriteTable(t *testing.T) {
 	r := NewRecorder()
 	r.Record(PhaseCPU, 300)
-	r.steps, r.runNs, r.cycles, r.runs = 3, 1000, 42, 1
+	r.runNs, r.cycles, r.runs = 1000, 42, 1
 	var b strings.Builder
 	r.Report().WriteTable(&b)
 	out := b.String()

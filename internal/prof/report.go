@@ -59,6 +59,8 @@ type Report struct {
 
 	// WallSeconds is total profiled loop time (the sum of all
 	// Engine.Run windows); Cycles the simulated cycles they advanced.
+	// Steps is the engine steps they executed, one per cycle; it equals
+	// Cycles and is kept so stored reports keep their shape.
 	WallSeconds  float64
 	Cycles       uint64
 	Steps        uint64
@@ -77,7 +79,7 @@ func (r *Recorder) Report() *Report {
 		Host:        r.host,
 		WallSeconds: float64(r.runNs) / 1e9,
 		Cycles:      r.cycles,
-		Steps:       r.steps,
+		Steps:       r.cycles,
 		Runs:        r.runs,
 	}
 	if r.runNs > 0 {
@@ -104,9 +106,10 @@ func (r *Recorder) Report() *Report {
 		if Phase(p) == PhaseEngine {
 			// Attributed by subtraction: everything inside the run
 			// windows that no timed section claimed. Count is the
-			// executed step count; no per-sample distribution exists.
+			// step count, one per cycle; no per-sample distribution
+			// exists.
 			ns += residual
-			count += r.steps
+			count += r.cycles
 		}
 		if count > 0 {
 			mean = float64(ns) / float64(count)
@@ -215,8 +218,8 @@ func (rep *Report) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "host profile: %s/%s %s, %d CPUs (GOMAXPROCS %d)\n",
 		rep.Host.GOOS, rep.Host.GOARCH, rep.Host.GoVersion,
 		rep.Host.NumCPU, rep.Host.GOMAXPROCS)
-	fmt.Fprintf(w, "  loop: %s wall, %d cycles in %d steps over %d runs = %.0f cycles/sec\n",
-		fmtDur(rep.WallSeconds*1e9), rep.Cycles, rep.Steps, rep.Runs, rep.CyclesPerSec)
+	fmt.Fprintf(w, "  loop: %s wall, %d cycles over %d runs = %.0f cycles/sec\n",
+		fmtDur(rep.WallSeconds*1e9), rep.Cycles, rep.Runs, rep.CyclesPerSec)
 	fmt.Fprintf(w, "  %-12s %7s %10s %9s %10s %10s %10s\n",
 		"phase", "share", "time", "count", "mean", "p95", "max")
 	for _, p := range rep.Phases {

@@ -51,9 +51,10 @@ type Job struct {
 	// [0, 1], and always ends with exactly 1.0 (including for zero-cycle
 	// windows). Setting it makes the runner advance the machine in
 	// bounded chunks instead of two long Run calls; chunked execution is
-	// cycle-for-cycle identical to unchunked (the engine's idle skip
-	// resumes across chunk boundaries), so Results are unchanged. Calls
-	// arrive on the worker goroutine executing this job.
+	// cycle-for-cycle identical to unchunked (Run steps every cycle, so
+	// Run(a) then Run(b) steps exactly the cycles of Run(a+b)), so Results
+	// are unchanged. Calls arrive on the worker goroutine executing this
+	// job.
 	Progress func(fraction float64)
 
 	// OnSample, when non-nil (and SampleInterval non-zero), streams each
@@ -264,8 +265,8 @@ const progressChunks = 64
 // hooks set — the historical path, zero behavior change) or in up to
 // progressChunks bounded chunks, reporting base+span*done/cycles after
 // each. Chunked execution is cycle-for-cycle identical to a single Run:
-// the engine's idle-cycle skip restarts at each chunk boundary and the
-// skipped steps are no-ops, so only the observation points differ.
+// Run steps every cycle, so Run(a) then Run(b) steps exactly the cycles
+// of Run(a+b), and only the observation points differ.
 // measuring gates the OnStats hook to the measurement window, where the
 // counters mean something.
 func runChunked(sys *core.System, j Job, cycles uint64, base, span float64, measuring bool) {

@@ -117,7 +117,10 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 		cfg.TripTempC = req.TripTempC
 		cfg.DutyCycle = req.DutyCycle
 	}
-	if err := cfg.Validate(); err != nil {
+	// Building the topology validates the config and places every CPU,
+	// so a machine that cannot be built is refused here instead of
+	// failing in a worker as a cached job.
+	if _, err := config.NewTopology(cfg); err != nil {
 		return runner.Job{}, err
 	}
 	if err := core.CheckDTM(cfg); err != nil {

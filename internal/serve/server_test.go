@@ -627,7 +627,9 @@ func TestBadRequests(t *testing.T) {
 	// So are DTM strings that do not parse (the check Instrument runs):
 	// such a job would otherwise warm and settle a machine before failing.
 	// So is a complete config whose L1 associativity a set cannot hold:
-	// building that machine would panic in the worker.
+	// building that machine would panic in the worker. So is a machine
+	// whose CPUs do not fit its placement: eight stacked CPUs on two
+	// pillars of two layers.
 	cfg := config.Default(config.CMPDNUCA3D)
 	cfg.L1Ways = 3
 	badWays, err := json.Marshal(JobRequest{Config: &cfg})
@@ -640,6 +642,7 @@ func TestBadRequests(t *testing.T) {
 		"bogus":         `{"scheme":"dnuca3d","dtm_policy":"bogus"}`,
 		"9/4":           `{"scheme":"dnuca3d","dtm_policy":"duty","duty_cycle":"9/4"}`,
 		"L1Ways":        string(badWays),
+		"placement":     `{"scheme":"dnuca3d","pillars":2,"stack_cpus":true}`,
 	} {
 		if resp, out := post(t, ts.URL+"/jobs", body); resp.StatusCode != http.StatusBadRequest ||
 			!strings.Contains(string(out), field) {

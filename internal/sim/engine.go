@@ -32,20 +32,6 @@ type TickerFunc func(cycle uint64)
 // Tick calls the function.
 func (f TickerFunc) Tick(cycle uint64) { f(cycle) }
 
-// IdleTicker is optionally implemented by tickers whose Tick is a no-op
-// while they are idle. When every registered ticker implements it and all
-// report idle, Run fast-forwards the clock over event-free cycles instead of
-// stepping through them. Idle must only return true when Tick would perform
-// no work; a ticker may still record the clock in its idle Tick (the fabric
-// does, to timestamp injections), because the engine always executes the
-// final cycle of a skipped stretch normally — every cycle in which an event
-// fires is immediately preceded by a real ticker round, exactly as in
-// unskipped execution.
-type IdleTicker interface {
-	Ticker
-	Idle() bool
-}
-
 // Handler receives typed events scheduled with AfterEvent. The kind and
 // data are opaque to the engine; the scheduling component dispatches on
 // them, which avoids allocating a capturing closure per scheduled event on
@@ -62,23 +48,14 @@ const (
 	wheelMask = wheelSize - 1
 )
 
-// event is a scheduled callback: either a legacy closure (fn != nil) or a
-// typed (handler, kind, data) triple dispatched without allocation.
+// event is a scheduled (handler, kind, data) triple, dispatched without
+// allocation.
 type event struct {
 	at   uint64
 	seq  uint64 // global schedule order, for the overflow heap's tie-break
 	h    Handler
 	data any
-	fn   func()
 	kind uint8
-}
-
-func (e *Engine) fire(ev *event) {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	ev.h.HandleEvent(ev.kind, ev.data)
 }
 
 // Engine owns the global clock. Each Step runs, in order: all events due at
@@ -98,8 +75,8 @@ type Engine struct {
 	overflow []event
 
 	// overdue holds events scheduled for a cycle whose bucket has already
-	// been drained (an After(0) from a ticker, or At on a past cycle).
-	// They fire at the start of the next Step, before that cycle's bucket.
+	// been drained (an AfterEvent(0) from a ticker). They fire at the
+	// start of the next Step, before that cycle's bucket.
 	overdue []event
 
 	// drained is true between this cycle's bucket drain and the clock
@@ -108,11 +85,6 @@ type Engine struct {
 	drained bool
 
 	tickers []Ticker
-	// idlers mirrors tickers when every registered ticker implements
-	// IdleTicker; skippable records that property.
-	idlers    []IdleTicker
-	skippable bool
-	noSkip    bool
 
 	// prof, when non-nil, receives host-side wall-clock attribution for
 	// every step: each fired event and each ticker's Tick is timed with
@@ -120,7 +92,7 @@ type Engine struct {
 	// the classifiers assign (see SetProfiler). Step reads it once, and
 	// each attribution site nil-checks that copy.
 	prof         *prof.Recorder
-	classifyEv   func(kind uint8, closure bool) prof.Phase
+	classifyEv   func(kind uint8) prof.Phase
 	classifyTick func(t Ticker) prof.Phase
 	// tickerPhase caches classifyTick per registered ticker, in
 	// registration order.
@@ -129,7 +101,7 @@ type Engine struct {
 
 // NewEngine returns an engine at cycle 0 with no components.
 func NewEngine() *Engine {
-	return &Engine{skippable: true}
+	return &Engine{}
 }
 
 // Now returns the current cycle.
@@ -138,24 +110,18 @@ func (e *Engine) Now() uint64 { return e.cycle }
 // Register adds a ticker that will run every cycle, in registration order.
 func (e *Engine) Register(t Ticker) {
 	e.tickers = append(e.tickers, t)
-	if it, ok := t.(IdleTicker); ok && e.skippable {
-		e.idlers = append(e.idlers, it)
-	} else {
-		e.skippable = false
-		e.idlers = nil
-	}
 	if e.classifyTick != nil {
 		e.tickerPhase = append(e.tickerPhase, e.classifyTick(t))
 	}
 }
 
 // SetProfiler attaches a host-side phase profiler: every fired event is
-// classified by eventPhase (kind plus whether it is a legacy closure) and
-// every ticker by tickerPhase. Tickers registered later are classified on
-// registration. A nil recorder detaches, restoring the unprofiled
-// step. Attribution never feeds back into simulation state, so a
-// profiled run is bit-identical to an unprofiled one.
-func (e *Engine) SetProfiler(r *prof.Recorder, eventPhase func(kind uint8, closure bool) prof.Phase, tickerPhase func(Ticker) prof.Phase) {
+// classified by eventPhase from its kind, and every ticker by
+// tickerPhase. Tickers registered later are classified on registration.
+// A nil recorder detaches, restoring the unprofiled step. Attribution
+// never feeds back into simulation state, so a profiled run is
+// bit-identical to an unprofiled one.
+func (e *Engine) SetProfiler(r *prof.Recorder, eventPhase func(kind uint8) prof.Phase, tickerPhase func(Ticker) prof.Phase) {
 	e.prof = r
 	e.tickerPhase = e.tickerPhase[:0]
 	if r == nil {
@@ -167,12 +133,6 @@ func (e *Engine) SetProfiler(r *prof.Recorder, eventPhase func(kind uint8, closu
 		e.tickerPhase = append(e.tickerPhase, tickerPhase(t))
 	}
 }
-
-// SetIdleSkip enables (default) or disables idle-cycle fast-forwarding in
-// Run. Skipping never changes observable behavior — it only engages when
-// every ticker reports a no-op Tick — so disabling it is useful solely for
-// equivalence testing and profiling.
-func (e *Engine) SetIdleSkip(on bool) { e.noSkip = !on }
 
 // schedule inserts an event at its cycle.
 func (e *Engine) schedule(ev event) {
@@ -194,29 +154,14 @@ func (e *Engine) schedule(ev event) {
 	}
 }
 
-// After schedules fn to run delay cycles from now. A delay of 0 runs fn at
-// the start of the next Step (events for the current cycle have already
-// fired once Step begins executing tickers).
-func (e *Engine) After(delay uint64, fn func()) {
-	e.seq++
-	e.schedule(event{at: e.cycle + delay, seq: e.seq, fn: fn})
-}
-
-// At schedules fn for an absolute cycle. Cycles in the past fire on the
-// next Step.
-func (e *Engine) At(cycle uint64, fn func()) {
-	if cycle < e.cycle {
-		cycle = e.cycle
-	}
-	e.seq++
-	e.schedule(event{at: cycle, seq: e.seq, fn: fn})
-}
-
 // AfterEvent schedules a typed event delay cycles from now: h.HandleEvent
-// (kind, data) runs with the same ordering guarantees as After. Unlike
-// After it captures no closure, so scheduling allocates nothing once the
-// wheel's bucket slices have grown to steady-state capacity; data should be
-// a pointer (storing a pointer in an interface does not allocate).
+// (kind, data) runs at that cycle, after every event scheduled earlier for
+// it. Called from an event handler, a delay of 0 runs later in the same
+// Step; called from a ticker or between Steps, it runs at the start of the
+// next Step, ahead of that cycle's own events. Scheduling captures no
+// closure, so it allocates nothing once the wheel's bucket slices have
+// grown to steady-state capacity; data should be a pointer (storing a
+// pointer in an interface does not allocate).
 func (e *Engine) AfterEvent(delay uint64, h Handler, kind uint8, data any) {
 	e.seq++
 	e.schedule(event{at: e.cycle + delay, seq: e.seq, h: h, kind: kind, data: data})
@@ -263,9 +208,6 @@ func (e *Engine) migrate() {
 func (e *Engine) Step() {
 	p := e.prof
 	var last time.Time
-	if p != nil {
-		p.StepDone()
-	}
 	e.migrate()
 	if p != nil {
 		last = time.Now()
@@ -276,9 +218,10 @@ func (e *Engine) Step() {
 		// them cannot grow overdue: the current bucket is undrained, so
 		// same-cycle reschedules land there.
 		for i := 0; i < len(e.overdue); i++ {
-			e.fire(&e.overdue[i])
+			ev := &e.overdue[i]
+			ev.h.HandleEvent(ev.kind, ev.data)
 			if p != nil {
-				last = e.recordEvent(p, &e.overdue[i], last)
+				last = e.recordEvent(p, ev, last)
 			}
 		}
 		clear(e.overdue)
@@ -287,7 +230,7 @@ func (e *Engine) Step() {
 	slot := e.cycle & wheelMask
 	for i := 0; i < len(e.buckets[slot]); i++ {
 		ev := e.buckets[slot][i] // copy: firing may append and reallocate
-		e.fire(&ev)
+		ev.h.HandleEvent(ev.kind, ev.data)
 		e.inWheel--
 		if p != nil {
 			last = e.recordEvent(p, &ev, last)
@@ -314,51 +257,11 @@ func (e *Engine) Step() {
 // costs one clock call per event instead of two.
 func (e *Engine) recordEvent(p *prof.Recorder, ev *event, last time.Time) time.Time {
 	now := time.Now()
-	p.Record(e.classifyEv(ev.kind, ev.fn != nil), now.Sub(last).Nanoseconds())
+	p.Record(e.classifyEv(ev.kind), now.Sub(last).Nanoseconds())
 	return now
 }
 
-// idle reports whether every registered ticker is skip-safe and idle.
-func (e *Engine) idle() bool {
-	if !e.skippable || e.noSkip {
-		return false
-	}
-	for _, t := range e.idlers {
-		if !t.Idle() {
-			return false
-		}
-	}
-	return true
-}
-
-// nextEventAt returns the earliest scheduled event cycle, or false when no
-// events are pending. Overdue events fire on the very next Step, so they
-// report the current cycle.
-func (e *Engine) nextEventAt() (uint64, bool) {
-	if len(e.overdue) > 0 {
-		return e.cycle, true
-	}
-	at := uint64(0)
-	ok := false
-	if e.inWheel > 0 {
-		for i := uint64(0); i < wheelSize; i++ {
-			c := e.cycle + i
-			if len(e.buckets[c&wheelMask]) > 0 {
-				at, ok = c, true
-				break
-			}
-		}
-	}
-	if len(e.overflow) > 0 && (!ok || e.overflow[0].at < at) {
-		at, ok = e.overflow[0].at, true
-	}
-	return at, ok
-}
-
-// Run advances the simulation by n cycles. When every registered ticker
-// implements IdleTicker and all report idle, the clock fast-forwards over
-// event-free cycles; events still fire at exactly the cycles they were
-// scheduled for, so results are identical to stepping every cycle.
+// Run advances the simulation by n cycles, one Step per cycle.
 //
 // With a profiler attached each Run is one throughput window in the
 // recorder's rolling series (cycles advanced over wall time).
@@ -368,47 +271,12 @@ func (e *Engine) Run(n uint64) {
 	if p != nil {
 		start = p.RunStart()
 	}
-	end := e.cycle + n
-	for e.cycle < end {
-		if e.cycle+1 < end && e.idle() {
-			// Fast-forward to the cycle before the next event (or the
-			// window's last cycle). The skipped Steps are provably no-ops:
-			// no events are due and every ticker reports an idle Tick. The
-			// stretch's final cycle steps normally, so tickers observe the
-			// clock exactly as in unskipped execution before any event fires.
-			target := end - 1
-			if next, ok := e.nextEventAt(); ok && next <= target {
-				target = next - 1
-			}
-			if target > e.cycle {
-				e.cycle = target
-			}
-		}
+	for end := e.cycle + n; e.cycle < end; {
 		e.Step()
 	}
 	if p != nil {
 		p.RunEnd(start, e.cycle-c0)
 	}
-}
-
-// RunUntil advances the simulation until done reports true or the cycle
-// limit is reached. It returns true if done became true before the limit.
-// Like Run, a profiled RunUntil records one throughput window.
-func (e *Engine) RunUntil(done func() bool, limit uint64) bool {
-	p, c0 := e.prof, e.cycle
-	var start int64
-	if p != nil {
-		start = p.RunStart()
-	}
-	ok := done()
-	for !ok && e.cycle < limit {
-		e.Step()
-		ok = done()
-	}
-	if p != nil {
-		p.RunEnd(start, e.cycle-c0)
-	}
-	return ok
 }
 
 // pushOverflow inserts an event into the overflow min-heap, ordered by

@@ -74,20 +74,6 @@ func BenchmarkEventQueue(b *testing.B) {
 			q.step()
 		}
 	})
-	b.Run("wheel", func(b *testing.B) {
-		e := NewEngine()
-		fn := func() {}
-		rng := uint64(1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < 4; k++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				e.After(benchDelays[rng>>61], fn)
-			}
-			e.Step()
-		}
-	})
 	b.Run("wheel-typed", func(b *testing.B) {
 		e := NewEngine()
 		h := &nopHandler{}

@@ -9,7 +9,8 @@
 #                                    headline and the regression gate's
 #                                    anchor); "stacked" the 4-layer
 #                                    stacked-CPU machine
-#   BenchmarkEventQueue/*          — engine event queue: legacy heap vs wheel
+#   BenchmarkEventQueue/*          — engine event queue: legacy heap vs
+#                                    the typed-event wheel ("wheel-typed")
 #   BenchmarkDTMOverhead/*         — thermal-management loop: detached vs
 #                                    disabled controller vs all actuators
 #   BenchmarkServeOverhead/*       — serving tax: direct runner.Run vs a

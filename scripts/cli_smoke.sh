@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Bad-input smoke test of the nimsim and experiments CLIs: build each
 # binary once, feed it every documented bad input, and assert each exits 1
-# with a "<command>:" message on stderr, nothing on stdout and no Go panic.
+# with a "<command>:" message on stderr, nothing on stdout and no Go panic,
+# not even one the runner recovered and reported as "panicked".
 # Runs in a temporary directory, so the missing replay file stays missing
 # and nothing is left behind.
 #
@@ -23,7 +24,7 @@ run() {
   shift
   ./"$cmd" "$@" >stdout.txt 2>stderr.txt || code=$?
   out=$(<stderr.txt)
-  if [ "$code" -ne 1 ] || [ -s stdout.txt ] || ! grep -q "^$cmd: " <<<"$out" || grep -q 'panic:' <<<"$out"; then
+  if [ "$code" -ne 1 ] || [ -s stdout.txt ] || ! grep -q "^$cmd: " <<<"$out" || grep -Eq 'panic:|panicked' <<<"$out"; then
     echo "cli_smoke: FAIL $cmd $* exited $code: $out" >&2
     FAIL=1
   else
@@ -46,7 +47,16 @@ check -trace t.json -tracebuf 0
 check -spans s.json -tracebuf 0
 check -diverge seed=2 -metrics m.csv -interval 0
 check -diverge seed=2 -dtm all -tinterval 0
+# More stacked CPUs than pillars x layers: the topology has no slot for
+# them, on the one-shot and the -diverge paths.
+check -scheme dnuca3d -pillars 2 -stack
+check -diverge pillars=2,stack=true
 # An unknown or empty -bench item is rejected before any section prints.
 run experiments -figure 17 -bench nope
 run experiments -all -bench mgrid,
+# So is a -table, -figure or -seeds value that selects nothing, even next
+# to a valid selection.
+run experiments -table 1 -figure 99
+run experiments -table 9
+run experiments -figure 13 -seeds -3 -bench mgrid -warm 10 -measure 10
 exit "$FAIL"
