@@ -51,8 +51,8 @@ func main() {
 		figure   = flag.Int("figure", 0, "reproduce one figure (13..18)")
 		all      = flag.Bool("all", false, "reproduce every table and figure")
 		benches  = flag.String("bench", "", "comma-separated benchmark subset for figures")
-		warm     = flag.Uint64("warm", 50_000, "settle cycles before measurement")
-		measure  = flag.Uint64("measure", 250_000, "measurement window in cycles")
+		warm     = flag.Uint64("warm", nim.DefaultOptions().WarmCycles, "settle cycles before measurement")
+		measure  = flag.Uint64("measure", nim.DefaultOptions().MeasureCycles, "measurement window in cycles")
 		seed     = flag.Uint64("seed", 1, "deterministic seed")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = strictly sequential; output is identical either way)")
 	)
@@ -181,9 +181,11 @@ type section struct {
 
 // plan runs the simulations of a list of sections as one sweep in which
 // each distinct simulation runs once. Every simulation is deterministic in
-// its job, so two sections asking for the same job get the same Results
-// whether it runs once or twice; sections only read Results, so sharing
-// one run's value among them is safe.
+// its job, so two sections asking for jobs with the same Identity get the
+// same Results whether it runs once or twice; sections only read Results,
+// so sharing one run's value among them is safe. The command's jobs set
+// no hooks or Profile: hooks are not part of the identity, and a profiled
+// run's Results hold wall-clock numbers that differ run to run.
 //
 // The deduplication lives here, not in internal/runner or nim.RunSweep:
 // runner.Diverge deliberately runs two identical jobs as two independent
@@ -195,22 +197,12 @@ type plan struct {
 	uses [][]int        // uses[s][i] indexes jobs for section s's job i
 }
 
-// jobKey is everything that determines a job's Results. The command's jobs
-// set no Label, hooks or Profile: the first two are outside the key, and a
-// profiled run's Results hold wall-clock numbers that differ run to run.
-type jobKey struct {
-	cfg                 nim.Config
-	bench               string
-	warm, measure, seed uint64
-	in                  nim.Instruments
-}
-
 func newPlan(secs []section) *plan {
 	p := &plan{secs: secs, uses: make([][]int, len(secs))}
-	first := map[jobKey]int{}
+	first := map[string]int{}
 	for s, sec := range secs {
 		for _, j := range sec.jobs {
-			k := jobKey{j.Config, j.Benchmark, j.WarmCycles, j.MeasureCycles, j.Seed, j.Instruments}
+			k, _ := j.Identity()
 			i, ok := first[k]
 			if !ok {
 				i = len(p.jobs)

@@ -22,31 +22,26 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 
 	nim "repro"
+	"repro/internal/config"
 	"repro/internal/power"
 	"repro/internal/serve"
 )
 
 func main() {
+	opts := machineOpts{scheme: "dnuca3d", bench: "mgrid", seed: 1}
+	opts.register(flag.CommandLine)
 	var (
 		mix      = flag.String("mix", "", "multiprogrammed mix: comma-separated benchmarks, one per core (cycled)")
 		traceIn  = flag.String("replay", "", "replay trace files instead of synthetic workloads: comma-separated, one per core (cycled)")
 		asJSON   = flag.Bool("json", false, "emit the results as JSON instead of text")
 		heatmap  = flag.Bool("heatmap", false, "print per-layer router utilization maps")
 		busrep   = flag.Bool("buses", false, "print per-pillar bus utilization")
-		scheme   = flag.String("scheme", "dnuca3d", "scheme: dnuca, dnuca2d, snuca3d, dnuca3d")
-		bench    = flag.String("bench", "mgrid", "SPEC OMP benchmark name")
-		layers   = flag.Int("layers", 0, "override layer count (3D schemes)")
-		pillars  = flag.Int("pillars", 0, "override pillar count")
-		l2mb     = flag.Int("l2", 0, "override L2 size in MB (16, 32, 64)")
-		stack    = flag.Bool("stack", false, "force vertical CPU stacking")
-		warm     = flag.Uint64("warm", 50_000, "settle cycles before measurement")
-		measure  = flag.Uint64("measure", 250_000, "measurement window in cycles")
-		seed     = flag.Uint64("seed", 1, "deterministic seed")
+		warm     = flag.Uint64("warm", nim.DefaultOptions().WarmCycles, "settle cycles before measurement")
+		measure  = flag.Uint64("measure", nim.DefaultOptions().MeasureCycles, "measurement window in cycles")
 		traceOut = flag.String("trace", "", "write the measurement window's event trace as Chrome trace-event JSON (open in Perfetto)")
 		traceBuf = flag.Int("tracebuf", 1_000_000, "event-trace ring capacity (oldest events drop beyond it)")
 		spansOut = flag.String("spans", "", "write per-transaction latency spans as Chrome trace-event JSON (per-CPU Perfetto tracks)")
@@ -56,9 +51,6 @@ func main() {
 		thermal  = flag.Bool("thermal", false, "attach the activity-driven power/thermal pipeline and print the transient report")
 		tmap     = flag.Bool("tmap", false, "print per-layer ASCII temperature maps (implies -thermal)")
 		tinter   = flag.Uint64("tinterval", 1_000, "thermal step period in cycles")
-		dtmPol   = flag.String("dtm", "", "dynamic thermal management policy: none (or off), all, or a comma list of veto, drowsy, duty, reroute (implies -thermal)")
-		trip     = flag.Float64("trip", 0, "DTM trip temperature in C (0 = the 85 C default)")
-		duty     = flag.String("duty", "", "DTM duty-cycle pattern N/M: a hot core issues on N of every M slots (default 1/4)")
 		profile  = flag.Bool("profile", false, "attach the host-side phase profiler and print the wall-clock attribution table (non-perturbing: results are bit-identical)")
 		profOut  = flag.String("proftrace", "", "write the profiler's host timeline as Chrome trace-event JSON (throughput + phase-share tracks; implies -profile)")
 		digestIv = flag.Uint64("digest", 0, "fold a state digest every N cycles and print the per-subsystem chain digests (non-perturbing: results are bit-identical)")
@@ -95,7 +87,7 @@ func main() {
 
 	// Zero periods would reach the observers' constructors, which panic;
 	// -digest 0 means off and -interval is only read with -metrics.
-	wantThermal := *thermal || *tmap || *dtmPol != ""
+	wantThermal := *thermal || *tmap || opts.DTMPolicy != ""
 	switch {
 	case *metrics != "" && *interval == 0:
 		fatalf("-interval must be >= 1")
@@ -105,23 +97,18 @@ func main() {
 		fatalf("-tracebuf must be >= 1")
 	}
 
-	opts := machineOpts{
-		scheme: *scheme, bench: *bench, seed: *seed,
-		layers: *layers, pillars: *pillars, l2mb: *l2mb, stack: *stack,
-		dtm: *dtmPol, trip: *trip, duty: *duty,
-	}
-	cfg, err := opts.config()
+	cfg, err := opts.Build(opts.scheme)
 	if err != nil {
 		fatalf("%v", err)
 	}
 
 	if *diverge != "" {
-		runDiverge(opts, cfg, *diverge, *warm, *measure, *tinter,
+		runDiverge(opts, *diverge, *warm, *measure, *tinter,
 			*thermal || *tmap, *digestIv, *asJSON)
 		return
 	}
 
-	sim, err := buildSimulation(cfg, *bench, *mix, *traceIn, *seed)
+	sim, err := buildSimulation(cfg, opts.bench, *mix, *traceIn, opts.seed)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -319,101 +306,56 @@ func main() {
 	}
 }
 
-// machineOpts is everything the flags contribute to one machine + run
-// description, factored so -diverge can rebuild a variant from k=v
-// overrides through the exact code path the base configuration took.
+// machineOpts is everything the flags contribute to one machine and run
+// description. register binds it to a flag set, so -diverge parses its
+// variant through the same flags the base configuration took.
 type machineOpts struct {
-	scheme  string
-	bench   string
-	seed    uint64
-	layers  int
-	pillars int
-	l2mb    int
-	stack   bool
-	dtm     string
-	trip    float64
-	duty    string
+	scheme, bench string
+	seed          uint64
+	config.Overrides
 }
 
-// config builds the machine description these options name.
-func (o machineOpts) config() (nim.Config, error) {
-	s, ok := serve.ParseScheme(o.scheme)
-	if !ok {
-		return nim.Config{}, fmt.Errorf("unknown scheme %q (want dnuca, dnuca2d, snuca3d, dnuca3d)", o.scheme)
-	}
-	cfg := nim.DefaultConfig(s)
-	if o.layers > 0 {
-		cfg.Layers = o.layers
-	}
-	if o.pillars > 0 {
-		cfg.NumPillars = o.pillars
-	}
-	if o.l2mb > 0 {
-		var err error
-		if cfg, err = cfg.WithL2Size(o.l2mb); err != nil {
-			return nim.Config{}, err
-		}
-	}
-	cfg.StackCPUs = o.stack
-	cfg.DTMPolicy = o.dtm
-	cfg.TripTempC = o.trip
-	cfg.DutyCycle = o.duty
-	return cfg, nil
-}
-
-// set applies one -diverge override, named after the flag it shadows.
-func (o *machineOpts) set(key, val string) error {
-	var err error
-	switch key {
-	case "scheme":
-		o.scheme = val
-	case "bench":
-		o.bench = val
-	case "seed":
-		o.seed, err = strconv.ParseUint(val, 10, 64)
-	case "layers":
-		o.layers, err = strconv.Atoi(val)
-	case "pillars":
-		o.pillars, err = strconv.Atoi(val)
-	case "l2":
-		o.l2mb, err = strconv.Atoi(val)
-	case "stack":
-		o.stack, err = strconv.ParseBool(val)
-	case "dtm":
-		o.dtm = val
-	case "trip":
-		o.trip, err = strconv.ParseFloat(val, 64)
-	case "duty":
-		o.duty = val
-	default:
-		return fmt.Errorf("unknown override %q (want scheme, bench, seed, layers, pillars, l2, stack, dtm, trip, duty)", key)
-	}
-	if err != nil {
-		return fmt.Errorf("override %s=%q: %v", key, val, err)
-	}
-	return nil
+// register binds the ten machine flags to fs, with o's values as the
+// defaults.
+func (o *machineOpts) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.scheme, "scheme", o.scheme, "scheme: dnuca, dnuca2d, snuca3d, dnuca3d")
+	fs.StringVar(&o.bench, "bench", o.bench, "SPEC OMP benchmark name")
+	fs.Uint64Var(&o.seed, "seed", o.seed, "deterministic seed")
+	fs.IntVar(&o.Layers, "layers", o.Layers, "override layer count (3D schemes)")
+	fs.IntVar(&o.Pillars, "pillars", o.Pillars, "override pillar count")
+	fs.IntVar(&o.L2MB, "l2", o.L2MB, "override L2 size in MB (16, 32, 64)")
+	fs.BoolVar(&o.StackCPUs, "stack", o.StackCPUs, "force vertical CPU stacking")
+	fs.StringVar(&o.DTMPolicy, "dtm", o.DTMPolicy, "dynamic thermal management policy: none (or off), all, or a comma list of veto, drowsy, duty, reroute (implies -thermal)")
+	fs.Float64Var(&o.TripTempC, "trip", o.TripTempC, "DTM trip temperature in C (0 = the 85 C default)")
+	fs.StringVar(&o.DutyCycle, "duty", o.DutyCycle, "DTM duty-cycle pattern N/M: a hot core issues on N of every M slots (default 1/4)")
 }
 
 // runDiverge is `nimsim -diverge`: the flag-described base run and a
 // variant built from the override list run side by side, their digest
-// streams bisected to the first divergent cycle and subsystem.
-func runDiverge(base machineOpts, baseCfg nim.Config, spec string,
+// streams bisected to the first divergent cycle and subsystem. Each
+// k=v override is parsed as the machine flag -k=v.
+func runDiverge(base machineOpts, spec string,
 	warm, measure, tinter uint64, wantThermal bool, interval uint64, asJSON bool) {
 	variant := base
+	fs := flag.NewFlagSet("diverge", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	variant.register(fs)
+	var args []string
 	for _, kv := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
+		kv = strings.TrimSpace(kv)
+		if !strings.Contains(kv, "=") {
 			fatalf("-diverge: override %q is not key=value", kv)
 		}
-		if err := variant.set(key, val); err != nil {
-			fatalf("-diverge: %v", err)
-		}
+		args = append(args, "-"+kv)
 	}
-	varCfg, err := variant.config()
-	if err != nil {
+	if err := fs.Parse(args); err != nil {
 		fatalf("-diverge: %v", err)
 	}
-	job := func(o machineOpts, cfg nim.Config) nim.SweepJob {
+	job := func(o machineOpts) nim.SweepJob {
+		cfg, err := o.Build(o.scheme)
+		if err != nil {
+			fatalf("-diverge: %v", err)
+		}
 		j := nim.SweepJob{
 			Config:        cfg,
 			Benchmark:     o.bench,
@@ -426,7 +368,7 @@ func runDiverge(base machineOpts, baseCfg nim.Config, spec string,
 		}
 		return j
 	}
-	rep, err := nim.Diverge(job(base, baseCfg), job(variant, varCfg), interval)
+	rep, err := nim.Diverge(job(base), job(variant), interval)
 	if err != nil {
 		fatalf("-diverge: %v", err)
 	}

@@ -35,7 +35,7 @@ type Options struct {
 // DefaultOptions returns the standard experiment windows. Parallel is left
 // at 0, so multi-run helpers use every available core by default.
 func DefaultOptions() Options {
-	return Options{WarmCycles: 50_000, MeasureCycles: 250_000, Seed: 1}
+	return Options{WarmCycles: runner.DefaultWarmCycles, MeasureCycles: runner.DefaultMeasureCycles, Seed: 1}
 }
 
 // jobFor translates one configured run into a sweep job.

@@ -54,6 +54,63 @@ func (s Scheme) Is3D() bool { return s == CMPSNUCA3D || s == CMPDNUCA3D }
 // the paper).
 func (s Scheme) PerfectSearch() bool { return s == CMPDNUCA }
 
+// ParseScheme resolves the short scheme names used on the command line
+// and in job submissions, in any case.
+func ParseScheme(name string) (Scheme, error) {
+	switch strings.ToLower(name) {
+	case "dnuca":
+		return CMPDNUCA, nil
+	case "dnuca2d":
+		return CMPDNUCA2D, nil
+	case "snuca3d":
+		return CMPSNUCA3D, nil
+	case "dnuca3d":
+		return CMPDNUCA3D, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want dnuca, dnuca2d, snuca3d, dnuca3d)", name)
+}
+
+// Overrides are the deltas from a scheme's Table 4 defaults that the
+// paper's design space varies — layers (Figure 18), pillars (Figure 17),
+// L2 size (Figure 16), stacked CPUs (Table 3) — plus the DTM knobs. The
+// JSON names are the daemon's wire names; nimsim binds the same fields
+// to its machine flags. A zero value keeps the default.
+type Overrides struct {
+	Layers    int     `json:"layers,omitempty"`
+	Pillars   int     `json:"pillars,omitempty"`
+	L2MB      int     `json:"l2_mb,omitempty"`
+	StackCPUs bool    `json:"stack_cpus,omitempty"`
+	DTMPolicy string  `json:"dtm_policy,omitempty"`
+	TripTempC float64 `json:"trip_temp_c,omitempty"`
+	DutyCycle string  `json:"duty_cycle,omitempty"`
+}
+
+// Build returns the named scheme's Default with the overrides applied.
+// It does not validate the result; NewTopology does.
+func (o Overrides) Build(scheme string) (Config, error) {
+	s, err := ParseScheme(scheme)
+	if err != nil {
+		return Config{}, err
+	}
+	c := Default(s)
+	if o.Layers > 0 {
+		c.Layers = o.Layers
+	}
+	if o.Pillars > 0 {
+		c.NumPillars = o.Pillars
+	}
+	if o.L2MB > 0 {
+		if c, err = c.WithL2Size(o.L2MB); err != nil {
+			return Config{}, err
+		}
+	}
+	c.StackCPUs = o.StackCPUs
+	c.DTMPolicy = o.DTMPolicy
+	c.TripTempC = o.TripTempC
+	c.DutyCycle = o.DutyCycle
+	return c, nil
+}
+
 // Config carries every simulation parameter. Zero values are invalid; start
 // from Default and modify.
 type Config struct {
@@ -194,6 +251,11 @@ func (c Config) WithL2Size(megabytes int) (Config, error) {
 func (c Config) Validate() error {
 	if err := c.L2.Validate(); err != nil {
 		return err
+	}
+	// Probe masks are 64 bits wide, and the line directory stores each
+	// line's cluster+1 in one byte; both rely on this limit.
+	if c.L2.Clusters > 64 {
+		return fmt.Errorf("config: %d Clusters exceed the 64-cluster search limit", c.L2.Clusters)
 	}
 	if c.Layers < 1 {
 		return fmt.Errorf("config: Layers = %d", c.Layers)

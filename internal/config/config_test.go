@@ -95,6 +95,13 @@ func TestValidateRejects(t *testing.T) {
 	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "Ways") {
 		t.Errorf("L2 Ways = 128: Validate = %v, want an error naming Ways", err)
 	}
+	// Probe masks and the line directory's one-byte entries hold at most
+	// 64 clusters.
+	c = Default(CMPDNUCA3D)
+	c.L2.Clusters = 128
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "Clusters") {
+		t.Errorf("Clusters = 128: Validate = %v, want an error naming Clusters", err)
+	}
 	c = Default(CMPDNUCA3D)
 	c.L1Ways = 64
 	if err := c.Validate(); err != nil {

@@ -13,7 +13,7 @@ const (
 
 // dirPage holds one page's line locations, each stored as cluster+1 so
 // that the zero value means absent. One byte per line is enough because
-// newSystem rejects machines with more than 64 clusters.
+// config.Validate rejects machines with more than 64 clusters.
 type dirPage struct {
 	loc  [dirPageLines]uint8
 	live int // non-zero entries in loc

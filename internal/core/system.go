@@ -234,11 +234,6 @@ func newSystem(cfg config.Config, label string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Probe masks are 64 bits wide, and the line directory stores each
-	// line's cluster+1 in one byte; both rely on this limit.
-	if top.NumClusters() > 64 {
-		return nil, fmt.Errorf("core: %d clusters exceed the 64-cluster search limit", top.NumClusters())
-	}
 	mode := fabric.VerticalBus
 	if cfg.VerticalNoC {
 		mode = fabric.VerticalRouter

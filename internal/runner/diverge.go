@@ -47,13 +47,19 @@ type DivergeReport struct {
 // attached, attest (or refute) bit-identity with a named first point
 // of departure. interval is the coarse snapshot period (0 selects
 // 1000); the refinement pass costs roughly one extra interval's worth
-// of per-cycle digesting on top of two coarse runs.
+// of per-cycle digesting on top of two coarse runs. Both jobs are
+// validated before either runs, so an invalid variant fails at once.
 func Diverge(a, b Job, interval uint64) (*DivergeReport, error) {
 	if interval == 0 {
 		interval = 1000
 	}
 	b.WarmCycles, b.MeasureCycles = a.WarmCycles, a.MeasureCycles
 	a.DigestInterval, b.DigestInterval = interval, interval
+	for i, j := range []Job{a, b} {
+		if err := j.Validate(); err != nil {
+			return nil, fmt.Errorf("runner: diverge run %c: %w", 'A'+byte(i), err)
+		}
+	}
 
 	sa, sb, da, db, err := runDigestPair(a, b)
 	if err != nil {

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -103,5 +104,24 @@ func TestDivergeForcesWindows(t *testing.T) {
 	if !rep.Equal || rep.Records != 8 {
 		t.Fatalf("window-forced pair: equal=%v records=%d, want equal over 8 snapshots",
 			rep.Equal, rep.Records)
+	}
+}
+
+// TestDivergeValidatesFirst: an invalid variant fails before either run
+// starts, with an error naming run B; the base's progress hook would
+// fire on its first chunk.
+func TestDivergeValidatesFirst(t *testing.T) {
+	a := divergeBase()
+	a.Progress = func(float64) { t.Error("run A started although run B is invalid") }
+	for name, mutate := range map[string]func(*Job){
+		"benchmark": func(b *Job) { b.Benchmark = "nope" },
+		"NumCPUs":   func(b *Job) { b.Config.NumCPUs = 0 },
+		"duty":      func(b *Job) { b.Config.DTMPolicy, b.Config.DutyCycle = "duty", "9/4" },
+	} {
+		b := divergeBase()
+		mutate(&b)
+		if _, err := Diverge(a, b, 1_000); err == nil || !strings.Contains(err.Error(), "run B") {
+			t.Errorf("%s: Diverge = %v, want an error naming run B", name, err)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package runner
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -13,13 +16,17 @@ import (
 	"repro/internal/trace"
 )
 
+// DefaultWarmCycles and DefaultMeasureCycles are the standard windows:
+// nim.DefaultOptions, the CLIs' flags and the daemon's omitted windows.
+const (
+	DefaultWarmCycles    = 50_000
+	DefaultMeasureCycles = 250_000
+)
+
 // Job describes one warmed, settled, measured simulation. The zero values
 // of WarmCycles and MeasureCycles are honored literally (a zero-cycle
 // window), so callers should populate both.
 type Job struct {
-	// Label is an optional caller-chosen tag carried through to the
-	// Result; the runner never interprets it.
-	Label string
 	// Config is the complete machine description, including the scheme
 	// and any per-job overrides (L2 size, layer count, pillar count, ...).
 	Config config.Config
@@ -84,6 +91,45 @@ type Job struct {
 	// the worker goroutine. Setting it implies chunked execution, as for
 	// Progress.
 	OnProfile func(snap prof.Snapshot)
+}
+
+// Identity returns the job's id, 16 hex characters of the SHA-256 of the
+// JSON encoding of every field that can change a deterministic run's
+// Results, together with the config.CanonicalHash inside it. Every
+// instrument with a wire name adds a report or a sample stream, so the
+// Instruments are all part of it; the host-side Profile has no wire name
+// and is not, and neither are the hooks. Jobs with equal ids produce
+// equal Results: the daemon's result cache and cmd/experiments' sweep
+// plan both key on it.
+func (j Job) Identity() (id, configHash string) {
+	configHash = config.CanonicalHash(j.Config)
+	b, err := json.Marshal(struct {
+		ConfigHash    string `json:"config_hash"`
+		Benchmark     string `json:"benchmark"`
+		WarmCycles    uint64 `json:"warm_cycles"`
+		MeasureCycles uint64 `json:"measure_cycles"`
+		Seed          uint64 `json:"seed"`
+		core.Instruments
+	}{configHash, j.Benchmark, j.WarmCycles, j.MeasureCycles, j.Seed, j.Instruments})
+	if err != nil {
+		panic(fmt.Sprintf("runner: job identity encoding failed: %v", err))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8]), configHash
+}
+
+// Validate reports, before anything runs, why the job could not run: a
+// machine that cannot be built (config.NewTopology validates the config
+// and places every CPU), an unknown benchmark, or DTM strings that do
+// not parse.
+func (j Job) Validate() error {
+	if _, err := config.NewTopology(j.Config); err != nil {
+		return err
+	}
+	if _, ok := trace.ProfileByName(j.Benchmark, j.Config.NumCPUs); !ok {
+		return fmt.Errorf("unknown benchmark %q", j.Benchmark)
+	}
+	return core.CheckDTM(j.Config)
 }
 
 // Result pairs a Job with its outcome. Exactly one of Results/Err is

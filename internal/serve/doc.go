@@ -5,14 +5,14 @@
 // keyed by the canonical configuration hash.
 //
 // The serving tier leans on one property end to end: the simulator is
-// deterministic. A job is fully identified by its configuration hash
-// (config.CanonicalHash) plus the workload parameters (benchmark, warm
-// and measure windows, seed, sampling and thermal intervals, span
-// recording); two submissions with the same identity must produce the
-// same Results, byte for byte. That makes finished results cacheable
-// forever — the registry doubles as the cache — and makes it safe to
-// coalesce identical in-flight submissions onto a single execution: both
-// clients observe the one job.
+// deterministic. A job is fully identified by runner.Job.Identity: its
+// configuration hash (config.CanonicalHash) plus the workload parameters
+// (benchmark, warm and measure windows, seed, sampling and thermal
+// intervals, span recording); two submissions with the same identity
+// must produce the same Results, byte for byte. That makes finished
+// results cacheable forever — the registry doubles as the cache — and
+// makes it safe to coalesce identical in-flight submissions onto a single
+// execution: both clients observe the one job.
 //
 // Endpoints:
 //

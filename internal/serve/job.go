@@ -1,11 +1,7 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,26 +13,11 @@ import (
 	"repro/internal/stats"
 )
 
-// ParseScheme resolves the short scheme names used on the command line
-// and in job submissions.
-func ParseScheme(name string) (config.Scheme, bool) {
-	switch strings.ToLower(name) {
-	case "dnuca":
-		return config.CMPDNUCA, true
-	case "dnuca2d":
-		return config.CMPDNUCA2D, true
-	case "snuca3d":
-		return config.CMPSNUCA3D, true
-	case "dnuca3d":
-		return config.CMPDNUCA3D, true
-	}
-	return 0, false
-}
-
 // JobRequest is the POST /jobs body. Either set Config to a complete
 // machine description, or name a Scheme and let the Table 4 defaults plus
 // the optional overrides build one. Omitted warm/measure windows default
-// to the CLI's 50k/250k; an explicit 0 is honored literally.
+// to runner.DefaultWarmCycles and runner.DefaultMeasureCycles, as on the
+// command line; an explicit 0 is honored literally.
 type JobRequest struct {
 	Scheme    string `json:"scheme,omitempty"`
 	Benchmark string `json:"benchmark,omitempty"`
@@ -69,17 +50,12 @@ type JobRequest struct {
 	// submissions inherit it.
 	DigestVerify bool `json:"digest_verify,omitempty"`
 
-	// Config-building overrides (ignored when Config is given).
-	Layers    int     `json:"layers,omitempty"`
-	Pillars   int     `json:"pillars,omitempty"`
-	L2MB      int     `json:"l2_mb,omitempty"`
-	StackCPUs bool    `json:"stack_cpus,omitempty"`
-	DTMPolicy string  `json:"dtm_policy,omitempty"`
-	TripTempC float64 `json:"trip_temp_c,omitempty"`
-	DutyCycle string  `json:"duty_cycle,omitempty"`
+	// Overrides build the machine from Scheme (ignored when Config is
+	// given).
+	config.Overrides
 
 	// Config, when non-nil, is the complete machine description and
-	// overrides every building field above.
+	// takes the place of Scheme and the overrides.
 	Config *config.Config `json:"config,omitempty"`
 }
 
@@ -87,122 +63,55 @@ type JobRequest struct {
 // rejects it. The returned job carries no hooks; the worker adds them.
 func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 	var cfg config.Config
-	switch {
-	case req.Config != nil:
+	if req.Config != nil {
 		cfg = *req.Config
-	default:
-		schemeName := req.Scheme
-		if schemeName == "" {
-			schemeName = "dnuca3d"
+	} else {
+		scheme := req.Scheme
+		if scheme == "" {
+			scheme = "dnuca3d"
 		}
-		sch, ok := ParseScheme(schemeName)
-		if !ok {
-			return runner.Job{}, fmt.Errorf("unknown scheme %q (want dnuca, dnuca2d, snuca3d, dnuca3d)", req.Scheme)
+		var err error
+		if cfg, err = req.Overrides.Build(scheme); err != nil {
+			return runner.Job{}, err
 		}
-		cfg = config.Default(sch)
-		if req.Layers > 0 {
-			cfg.Layers = req.Layers
-		}
-		if req.Pillars > 0 {
-			cfg.NumPillars = req.Pillars
-		}
-		if req.L2MB > 0 {
-			var err error
-			if cfg, err = cfg.WithL2Size(req.L2MB); err != nil {
-				return runner.Job{}, err
-			}
-		}
-		cfg.StackCPUs = req.StackCPUs
-		cfg.DTMPolicy = req.DTMPolicy
-		cfg.TripTempC = req.TripTempC
-		cfg.DutyCycle = req.DutyCycle
 	}
-	// Building the topology validates the config and places every CPU,
-	// so a machine that cannot be built is refused here instead of
-	// failing in a worker as a cached job.
-	if _, err := config.NewTopology(cfg); err != nil {
-		return runner.Job{}, err
+	j := runner.Job{
+		Config:        cfg,
+		Benchmark:     req.Benchmark,
+		WarmCycles:    runner.DefaultWarmCycles,
+		MeasureCycles: runner.DefaultMeasureCycles,
+		Seed:          req.Seed,
+		Instruments:   req.Instruments,
 	}
-	if err := core.CheckDTM(cfg); err != nil {
-		return runner.Job{}, err
+	if j.Benchmark == "" {
+		j.Benchmark = "mgrid"
 	}
-
-	bench := req.Benchmark
-	if bench == "" {
-		bench = "mgrid"
-	}
-	warm, measure := uint64(50_000), uint64(250_000)
 	if req.WarmCycles != nil {
-		warm = *req.WarmCycles
+		j.WarmCycles = *req.WarmCycles
 	}
 	if req.MeasureCycles != nil {
-		measure = *req.MeasureCycles
+		j.MeasureCycles = *req.MeasureCycles
 	}
-	in := req.Instruments
 	switch {
 	case req.NoSamples:
-		in.SampleInterval = 0
-	case in.SampleInterval == 0:
-		in.SampleInterval = s.opts.DefaultSampleInterval
+		j.SampleInterval = 0
+	case j.SampleInterval == 0:
+		j.SampleInterval = s.opts.DefaultSampleInterval
 	}
-	if cfg.DTMActive() && in.ThermalInterval == 0 {
+	if j.Config.DTMActive() && j.ThermalInterval == 0 {
 		// DTM needs the thermal loop; default its step to the sampling
 		// period (or the sampler default) instead of failing the job.
-		in.ThermalInterval = in.SampleInterval
-		if in.ThermalInterval == 0 {
-			in.ThermalInterval = s.opts.DefaultSampleInterval
+		j.ThermalInterval = j.SampleInterval
+		if j.ThermalInterval == 0 {
+			j.ThermalInterval = s.opts.DefaultSampleInterval
 		}
 	}
-	return runner.Job{
-		Config:        cfg,
-		Benchmark:     bench,
-		WarmCycles:    warm,
-		MeasureCycles: measure,
-		Seed:          req.Seed,
-		Instruments:   in,
-	}, nil
-}
-
-// jobIdentity is the canonical cache key: every field that can change a
-// deterministic run's observable output. Every instrument with a wire
-// name adds a report or a sample stream, so the embedded Instruments
-// are all part of it; the host-side Profile has no wire name and is not.
-// Hashing its JSON encoding gives the job id — identical submissions
-// collapse onto one registry entry, which is the whole caching and
-// coalescing mechanism.
-type jobIdentity struct {
-	ConfigHash    string `json:"config_hash"`
-	Benchmark     string `json:"benchmark"`
-	WarmCycles    uint64 `json:"warm_cycles"`
-	MeasureCycles uint64 `json:"measure_cycles"`
-	Seed          uint64 `json:"seed"`
-	core.Instruments
-}
-
-// jobID derives the registry key for a normalized runner job: 16 hex
-// characters of the SHA-256 of the job's canonical identity.
-func jobID(j runner.Job) string {
-	id, _ := identify(j)
-	return id
-}
-
-// identify returns jobID's key together with the config hash inside the
-// identity, which the record keeps so status snapshots never rehash.
-func identify(j runner.Job) (id, configHash string) {
-	ident := jobIdentity{
-		ConfigHash:    config.CanonicalHash(j.Config),
-		Benchmark:     j.Benchmark,
-		WarmCycles:    j.WarmCycles,
-		MeasureCycles: j.MeasureCycles,
-		Seed:          j.Seed,
-		Instruments:   j.Instruments,
+	// A job that cannot run is refused here, instead of failing in a
+	// worker and staying in the registry as a cached failed job.
+	if err := j.Validate(); err != nil {
+		return runner.Job{}, err
 	}
-	b, err := json.Marshal(ident)
-	if err != nil {
-		panic(fmt.Sprintf("serve: job identity encoding failed: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8]), ident.ConfigHash
+	return j, nil
 }
 
 // Job states, in lifecycle order.
@@ -222,7 +131,7 @@ type job struct {
 	cond *sync.Cond
 
 	id         string
-	configHash string     // config.CanonicalHash(run.Config), from identify
+	configHash string     // config.CanonicalHash(run.Config), from run.Identity
 	run        runner.Job // hook-free template; the worker adds hooks
 
 	// verify records the first submission's DigestVerify request; the

@@ -7,7 +7,39 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/runner"
 )
+
+// jobID is the registry key of a normalized job.
+func jobID(j runner.Job) string {
+	id, _ := j.Identity()
+	return id
+}
+
+// TestJobIDsPinned pins three job ids: a client may hold an id, so the
+// encoding behind it must not drift. The values were recorded when the
+// identity still lived in this package, before runner.Job.Identity.
+func TestJobIDsPinned(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	for body, want := range map[string]string{
+		`{}`:        "d0ad5fe693277948",
+		tinyBody(1): "b6979ae936ebff6b",
+		`{"scheme":"snuca3d","layers":4,"l2_mb":32,"dtm_policy":"all","trip_temp_c":70,"duty_cycle":"1/2","digest_interval":500}`: "a352ff8ab63ecfa3",
+	} {
+		var req JobRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.buildJob(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := jobID(j); got != want {
+			t.Errorf("%s: job id %s, want %s", body, got, want)
+		}
+	}
+}
 
 // TestJobIdentityDefaultsVsExplicit guards the cache key against
 // normalization drift: a submission that relies on every default and one

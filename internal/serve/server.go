@@ -264,7 +264,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	id, configHash := identify(run)
+	id, configHash := run.Identity()
 
 	s.mu.Lock()
 	if s.draining {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -198,9 +199,12 @@ func TestStatusByteIdentity(t *testing.T) {
 			"seed":12,"digest_interval":500,"digest_verify":true}`, StateDone, `"Digests"`},
 		{"thermal+dtm", `{"dtm_policy":"all","warm_cycles":1000,"measure_cycles":4000,
 			"sample_interval":500,"thermal_interval":500}`, StateDone, `"DTM"`},
-		{"failed", `{"benchmark":"nosuch","warm_cycles":0,"measure_cycles":0}`, StateFailed, ""},
+		{"failed", `{"warm_cycles":0,"measure_cycles":0,"seed":13}`, StateFailed, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.state == StateFailed {
+				registerFailed(t, s, tc.body)
+			}
 			var id string
 			check := func(endpoint string, resp *http.Response, body []byte) {
 				t.Helper()
@@ -229,6 +233,28 @@ func TestStatusByteIdentity(t *testing.T) {
 			check("GET /jobs/{id}", resp, body)
 		})
 	}
+}
+
+// registerFailed registers a failed record under body's job id. buildJob
+// refuses every request that would fail in a worker, so no request can
+// produce one, but the registry still serves failed records.
+func registerFailed(t *testing.T, s *Server, body string) {
+	t.Helper()
+	var req JobRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	run, err := s.buildJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, configHash := run.Identity()
+	rec := newJob(id, configHash, run, time.Now())
+	rec.fail(errors.New("simulated worker failure"), time.Now())
+	s.mu.Lock()
+	s.jobs[id] = rec
+	s.order = append(s.order, id)
+	s.mu.Unlock()
 }
 
 // TestStatusConcurrentReads reads two finished jobs from several
@@ -610,8 +636,8 @@ func TestDTMJobDefaultsThermal(t *testing.T) {
 }
 
 // TestBadRequests: malformed JSON, unknown scheme, unknown request
-// fields, unparseable DTM strings, a non-boolean wait, unknown
-// benchmark, unknown job id.
+// fields, unparseable DTM strings, machines that cannot be built, an
+// unknown benchmark, a non-boolean wait, unknown job id.
 func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 
@@ -627,22 +653,29 @@ func TestBadRequests(t *testing.T) {
 	// So are DTM strings that do not parse (the check Instrument runs):
 	// such a job would otherwise warm and settle a machine before failing.
 	// So is a complete config whose L1 associativity a set cannot hold:
-	// building that machine would panic in the worker. So is a machine
-	// whose CPUs do not fit its placement: eight stacked CPUs on two
-	// pillars of two layers.
-	cfg := config.Default(config.CMPDNUCA3D)
-	cfg.L1Ways = 3
-	badWays, err := json.Marshal(JobRequest{Config: &cfg})
-	if err != nil {
-		t.Fatal(err)
+	// building that machine would panic in the worker. So is one with
+	// more clusters than a probe mask holds. So is a machine whose CPUs
+	// do not fit its placement: eight stacked CPUs on two pillars of two
+	// layers. So is an unknown benchmark. Each would otherwise fail in a
+	// worker and stay in the registry as a cached failed job.
+	configBody := func(mutate func(*config.Config)) string {
+		cfg := config.Default(config.CMPDNUCA3D)
+		mutate(&cfg)
+		b, err := json.Marshal(JobRequest{Config: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
 	for field, body := range map[string]string{
 		"measure_cyles": `{"scheme":"dnuca3d","measure_cyles":1000}`,
 		"shards":        `{"scheme":"dnuca3d","shards":2}`,
 		"bogus":         `{"scheme":"dnuca3d","dtm_policy":"bogus"}`,
 		"9/4":           `{"scheme":"dnuca3d","dtm_policy":"duty","duty_cycle":"9/4"}`,
-		"L1Ways":        string(badWays),
+		"L1Ways":        configBody(func(c *config.Config) { c.L1Ways = 3 }),
+		"Clusters":      configBody(func(c *config.Config) { c.L2.Clusters = 128 }),
 		"placement":     `{"scheme":"dnuca3d","pillars":2,"stack_cpus":true}`,
+		"nosuch":        `{"benchmark":"nosuch"}`,
 	} {
 		if resp, out := post(t, ts.URL+"/jobs", body); resp.StatusCode != http.StatusBadRequest ||
 			!strings.Contains(string(out), field) {
@@ -659,19 +692,6 @@ func TestBadRequests(t *testing.T) {
 	}
 	if n := s.m.submitted.Load(); n != 0 {
 		t.Errorf("bad requests registered %d jobs, want 0", n)
-	}
-	// An unknown benchmark passes validation (the runner rejects it at
-	// execution), so the job fails rather than the submit.
-	resp, body := post(t, ts.URL+"/jobs?wait=1", `{"scheme":"dnuca3d","benchmark":"nosuch","warm_cycles":0,"measure_cycles":0}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unknown benchmark submit = %d", resp.StatusCode)
-	}
-	var st JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateFailed || st.Error == "" {
-		t.Errorf("unknown benchmark job state = %q (%q), want failed", st.State, st.Error)
 	}
 	if resp, _ := get(t, ts.URL+"/jobs/deadbeef"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job id = %d, want 404", resp.StatusCode)

@@ -380,9 +380,10 @@ type DivergeReport = runner.DivergeReport
 // attached, binary-searches their snapshot streams for the first
 // divergence, and refines it to the exact first divergent cycle and the
 // offending subsystem by rerunning just the divergent window with
-// per-cycle digesting. b's windows and seed are forced to a's so the
-// streams align; everything else may differ. interval is the coarse
-// snapshot period (0 selects 1000 cycles).
+// per-cycle digesting. b's windows are forced to a's so the streams
+// align; everything else, the seed included, may differ. Both jobs are
+// validated before either runs. interval is the coarse snapshot period
+// (0 selects 1000 cycles).
 func Diverge(a, b SweepJob, interval uint64) (*DivergeReport, error) {
 	return runner.Diverge(a, b, interval)
 }

@@ -51,6 +51,10 @@ check -diverge seed=2 -dtm all -tinterval 0
 # them, on the one-shot and the -diverge paths.
 check -scheme dnuca3d -pillars 2 -stack
 check -diverge pillars=2,stack=true
+# A -diverge variant is checked before either run starts, and its keys are
+# the machine flags' names.
+check -diverge bench=nope
+check -diverge foo=1
 # An unknown or empty -bench item is rejected before any section prints.
 run experiments -figure 17 -bench nope
 run experiments -all -bench mgrid,

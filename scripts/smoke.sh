@@ -6,8 +6,10 @@
 # (X-Cache: hit). The three documents that carry the results — the
 # ?wait=1 completion, the hit and GET /jobs/{id} — must hold the same
 # "results" member byte for byte, and the completion and the hit may
-# differ only in their "submits" line. Exercises the full binary +
-# listener path that the in-process httptest suite cannot.
+# differ only in their "submits" line. Last, a job with an unknown
+# benchmark must be refused with 400 and registered nowhere. Exercises
+# the full binary + listener path that the in-process httptest suite
+# cannot.
 #
 # Usage: scripts/smoke.sh [port]   (default 18080)
 set -euo pipefail
@@ -71,6 +73,14 @@ for f in miss hit; do
 done
 diff "$OUT/miss.nosubmits" "$OUT/hit.nosubmits" >&2 || {
   echo "smoke: ?wait=1 and hit bodies differ beyond their submits line" >&2; exit 1; }
+
+echo "smoke: submitting an unknown benchmark, expecting 400"
+CODE=$(curl -sS -o "$OUT/bad.json" -w '%{http_code}' -X POST "http://$ADDR/jobs?wait=1" -d '{"benchmark":"nosuch"}')
+[ "$CODE" = 400 ] || {
+  echo "smoke: unknown benchmark answered $CODE, want 400: $(cat "$OUT/bad.json")" >&2; exit 1; }
+METRICS=$(curl -fsS "http://$ADDR/metrics")
+grep -q '^nimsim_jobs_submitted_total 1$' <<<"$METRICS" || {
+  echo "smoke: the refused job was registered (want nimsim_jobs_submitted_total 1)" >&2; exit 1; }
 
 kill "$DAEMON"
 wait "$DAEMON" 2>/dev/null || true
