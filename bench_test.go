@@ -29,6 +29,21 @@ func reportRun(b *testing.B, r nim.Results) {
 	b.ReportMetric(float64(r.Migrations), "migrations")
 }
 
+// runJob runs job b.N times, each time as a one-job sweep, and returns the
+// last run's Results.
+func runJob(b *testing.B, job nim.SweepJob) nim.Results {
+	b.Helper()
+	var r nim.Results
+	for i := 0; i < b.N; i++ {
+		rs := nim.RunSweep([]nim.SweepJob{job}, 1, nil)
+		if err := nim.SweepError(rs); err != nil {
+			b.Fatal(err)
+		}
+		r = rs[0].Results
+	}
+	return r
+}
+
 // --- Table 1: dTDMA component characterization -------------------------
 
 func BenchmarkTable1Components(b *testing.B) {
@@ -90,24 +105,11 @@ func BenchmarkTable5WorkloadGen(b *testing.B) {
 
 // --- Figures 13/14/15: the four schemes --------------------------------
 
-func benchmarkScheme(b *testing.B, s nim.Scheme, bench string) {
-	var r nim.Results
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = nim.RunScheme(s, bench, benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportRun(b, r)
-}
-
 func BenchmarkFig13Fig15Schemes(b *testing.B) {
 	for _, bench := range []string{"mgrid", "art"} {
 		for _, s := range nim.Schemes() {
-			s, bench := s, bench
 			b.Run(bench+"/"+s.String(), func(b *testing.B) {
-				benchmarkScheme(b, s, bench)
+				reportRun(b, runJob(b, nim.NewSweepJob(nim.DefaultConfig(s), bench, benchOpt())))
 			})
 		}
 	}
@@ -117,16 +119,8 @@ func BenchmarkFig14Migrations(b *testing.B) {
 	// Migration counts of the three migrating schemes on swim, the series
 	// Figure 14 normalizes against CMP-DNUCA-2D.
 	for _, s := range []nim.Scheme{nim.CMPDNUCA, nim.CMPDNUCA2D, nim.CMPDNUCA3D} {
-		s := s
 		b.Run(s.String(), func(b *testing.B) {
-			var r nim.Results
-			for i := 0; i < b.N; i++ {
-				var err error
-				r, err = nim.RunScheme(s, "swim", benchOpt())
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			r := runJob(b, nim.NewSweepJob(nim.DefaultConfig(s), "swim", benchOpt()))
 			b.ReportMetric(float64(r.Migrations), "migrations")
 		})
 	}
@@ -137,16 +131,12 @@ func BenchmarkFig14Migrations(b *testing.B) {
 func BenchmarkFig16CacheSize(b *testing.B) {
 	for _, mb := range []int{16, 32, 64} {
 		for _, s := range []nim.Scheme{nim.CMPDNUCA2D, nim.CMPDNUCA3D} {
-			mb, s := mb, s
 			b.Run(s.String()+"/"+sizeName(mb), func(b *testing.B) {
-				var r nim.Results
-				for i := 0; i < b.N; i++ {
-					var err error
-					r, err = nim.RunWithL2Size(s, "mgrid", mb, benchOpt())
-					if err != nil {
-						b.Fatal(err)
-					}
+				cfg, err := nim.DefaultConfig(s).WithL2Size(mb)
+				if err != nil {
+					b.Fatal(err)
 				}
+				r := runJob(b, nim.NewSweepJob(cfg, "mgrid", benchOpt()))
 				b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
 			})
 		}
@@ -169,16 +159,10 @@ func sizeName(mb int) string {
 
 func BenchmarkFig17Pillars(b *testing.B) {
 	for _, p := range []int{8, 4, 2} {
-		p := p
 		b.Run(pillarName(p), func(b *testing.B) {
-			var r nim.Results
-			for i := 0; i < b.N; i++ {
-				var err error
-				r, err = nim.RunWithPillars("swim", p, benchOpt())
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
+			cfg.NumPillars = p
+			r := runJob(b, nim.NewSweepJob(cfg, "swim", benchOpt()))
 			b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
 		})
 	}
@@ -200,16 +184,10 @@ func pillarName(p int) string {
 
 func BenchmarkFig18Layers(b *testing.B) {
 	for _, l := range []int{2, 4} {
-		l := l
 		b.Run(layerName(l), func(b *testing.B) {
-			var r nim.Results
-			for i := 0; i < b.N; i++ {
-				var err error
-				r, err = nim.RunWithLayers("mgrid", l, benchOpt())
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			cfg := nim.DefaultConfig(nim.CMPSNUCA3D)
+			cfg.Layers = l
+			r := runJob(b, nim.NewSweepJob(cfg, "mgrid", benchOpt()))
 			b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
 		})
 	}
@@ -224,20 +202,29 @@ func layerName(l int) string {
 
 // --- Ablations of DESIGN.md's called-out choices ------------------------
 
-func BenchmarkAblationMigrationThreshold(b *testing.B) {
-	for _, th := range []int{1, 2, 4, 8} {
-		th := th
-		b.Run(thName(th), func(b *testing.B) {
-			var rs []nim.Results
-			for i := 0; i < b.N; i++ {
-				var err error
-				rs, err = nim.MigrationThresholdSweep("swim", []int{th}, benchOpt())
-				if err != nil {
-					b.Fatal(err)
-				}
+// benchPair runs each job of a pair ablation as its own sub-benchmark,
+// named by names, and reports its L2 hit latency; more, when non-nil,
+// reports further metrics of the run.
+func benchPair(b *testing.B, jobs [2]nim.SweepJob, names [2]string, more func(*testing.B, nim.Results)) {
+	for i, name := range names {
+		b.Run(name, func(b *testing.B) {
+			r := runJob(b, jobs[i])
+			b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
+			if more != nil {
+				more(b, r)
 			}
-			b.ReportMetric(rs[0].AvgL2HitLatency, "L2hit-cycles")
-			b.ReportMetric(float64(rs[0].Migrations), "migrations")
+		})
+	}
+}
+
+func BenchmarkAblationMigrationThreshold(b *testing.B) {
+	ths := []int{1, 2, 4, 8}
+	jobs := nim.MigrationThresholdSweepJobs("swim", ths, benchOpt())
+	for i, th := range ths {
+		b.Run(thName(th), func(b *testing.B) {
+			r := runJob(b, jobs[i])
+			b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
+			b.ReportMetric(float64(r.Migrations), "migrations")
 		})
 	}
 }
@@ -247,190 +234,42 @@ func thName(th int) string {
 }
 
 func BenchmarkAblationClusterSkip(b *testing.B) {
-	b.Run("skip-on", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			r, _, err = runSkip(true)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
-	})
-	b.Run("skip-off", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, r, err = runSkip(false)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
-	})
-}
-
-func runSkip(on bool) (withSkip, withoutSkip nim.Results, err error) {
-	if on {
-		withSkip, err = nim.RunScheme(nim.CMPDNUCA3D, "swim", benchOpt())
-		return
-	}
-	cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
-	cfg.SkipCPUClusters = false
-	bench, _ := nim.BenchmarkByName("swim", cfg.NumCPUs)
-	sim, e := nim.NewSimulation(cfg, bench, 1)
-	if e != nil {
-		err = e
-		return
-	}
-	opt := benchOpt()
-	sim.Warm()
-	sim.Start()
-	sim.Run(opt.WarmCycles)
-	sim.ResetStats()
-	sim.Run(opt.MeasureCycles)
-	withoutSkip = sim.Results()
-	return
+	benchPair(b, nim.ClusterSkipAblationJobs("swim", benchOpt()), [2]string{"skip-on", "skip-off"}, nil)
 }
 
 func BenchmarkAblationStackedCPUs(b *testing.B) {
 	// Network-performance counterpart of Table 3's thermal argument:
 	// stacking CPUs on shared pillar columns congests the pillars.
-	for _, stacked := range []bool{false, true} {
-		stacked := stacked
-		name := "offset"
-		if stacked {
-			name = "stacked"
-		}
-		b.Run(name, func(b *testing.B) {
-			var r nim.Results
-			for i := 0; i < b.N; i++ {
-				cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
-				cfg.StackCPUs = stacked
-				bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
-				sim, err := nim.NewSimulation(cfg, bench, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opt := benchOpt()
-				sim.Warm()
-				sim.Start()
-				sim.Run(opt.WarmCycles)
-				sim.ResetStats()
-				sim.Run(opt.MeasureCycles)
-				r = sim.Results()
-			}
-			b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
-		})
-	}
+	benchPair(b, nim.StackedVsOffsetJobs("mgrid", benchOpt()), [2]string{"offset", "stacked"}, nil)
 }
 
 func BenchmarkAblationVerticalInterconnect(b *testing.B) {
 	// The paper's Section 3.1 design decision: dTDMA bus pillars versus
 	// 7-port 3D routers for the vertical direction, on a 4-layer chip
 	// where the single-hop advantage is visible.
-	b.Run("dtdma-bus", func(b *testing.B) {
-		var bus nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			bus, _, err = nim.VerticalAblation("mgrid", 4, benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(bus.AvgL2HitLatency, "L2hit-cycles")
-	})
-	b.Run("router-7port", func(b *testing.B) {
-		var router nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, router, err = nim.VerticalAblation("mgrid", 4, benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(router.AvgL2HitLatency, "L2hit-cycles")
-	})
+	benchPair(b, nim.VerticalAblationJobs("mgrid", 4, benchOpt()), [2]string{"dtdma-bus", "router-7port"}, nil)
 }
 
 func BenchmarkAblationRouterPipeline(b *testing.B) {
 	// The paper's Section 3.2 choice of single-stage routers over the
 	// basic four-stage pipeline.
-	b.Run("single-stage", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			r, _, err = nim.RouterPipelineAblation("swim", benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
-	})
-	b.Run("four-stage", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, r, err = nim.RouterPipelineAblation("swim", benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
-	})
+	benchPair(b, nim.RouterPipelineAblationJobs("swim", benchOpt()), [2]string{"single-stage", "four-stage"}, nil)
 }
 
 func BenchmarkAblationSearchPolicy(b *testing.B) {
 	// Two-step search (Section 4.2.1) vs single-step broadcast.
-	b.Run("two-step", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			r, _, err = nim.SearchPolicyAblation("art", benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
-		b.ReportMetric(float64(r.ProbesSent), "probes")
-	})
-	b.Run("broadcast", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, r, err = nim.SearchPolicyAblation("art", benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
-		b.ReportMetric(float64(r.ProbesSent), "probes")
-	})
+	benchPair(b, nim.SearchPolicyAblationJobs("art", benchOpt()), [2]string{"two-step", "broadcast"},
+		func(b *testing.B, r nim.Results) { b.ReportMetric(float64(r.ProbesSent), "probes") })
 }
 
 func BenchmarkAblationVictimReplication(b *testing.B) {
 	// The replication-vs-migration management alternative of Section 2.1.
+	jobs := nim.ReplicationAblationJobs("equake", benchOpt())
 	b.Run("snuca3d-plain", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			r, _, err = nim.ReplicationAblation("equake", benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
+		b.ReportMetric(runJob(b, jobs[0]).AvgL2HitLatency, "L2hit-cycles")
 	})
 	b.Run("snuca3d-vr", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, r, err = nim.ReplicationAblation("equake", benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
+		r := runJob(b, jobs[1])
 		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
 		b.ReportMetric(float64(r.ReplicaHits), "replica-hits")
 	})
@@ -438,28 +277,7 @@ func BenchmarkAblationVictimReplication(b *testing.B) {
 
 func BenchmarkAblationTagPorts(b *testing.B) {
 	// Idealized vs single-ported cluster tag arrays.
-	b.Run("unlimited", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			r, _, err = nim.TagPortAblation("mgrid", benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
-	})
-	b.Run("single-port", func(b *testing.B) {
-		var r nim.Results
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, r, err = nim.TagPortAblation("mgrid", benchOpt())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.AvgL2HitLatency, "L2hit-cycles")
-	})
+	benchPair(b, nim.TagPortAblationJobs("mgrid", benchOpt()), [2]string{"unlimited", "single-port"}, nil)
 }
 
 // --- Microbenchmarks: simulator throughput ------------------------------

@@ -851,7 +851,8 @@ func dtmStudy(opt nim.Options) section {
 // four-layer machine — with the host profiler attached and tabulates
 // per-phase shares of loop time. The numbers are wall-clock on this host;
 // the profiler observes the simulator, not the chip, so the simulated
-// Results are those of an unprofiled run.
+// Results are those of an unprofiled run. The two runs take turns on one
+// worker, so neither one's wall-clock shares carry the other's load.
 func profileStudy(opt nim.Options) {
 	header("Host profile: phase dominance (mgrid, CMP-DNUCA-3D)")
 	stacked := nim.DefaultConfig(nim.CMPDNUCA3D)
@@ -864,31 +865,21 @@ func profileStudy(opt nim.Options) {
 		{"offset", nim.DefaultConfig(nim.CMPDNUCA3D)},
 		{"stacked", stacked},
 	}
+	jobs := make([]nim.SweepJob, len(modes))
+	for i, m := range modes {
+		jobs[i] = nim.NewSweepJob(m.cfg, "mgrid", opt)
+		jobs[i].Profile = true
+	}
+	rs := nim.RunSweep(jobs, 1, nil)
+	if err := nim.SweepError(rs); err != nil {
+		fatal(err)
+	}
 	fmt.Printf("%-18s %8s %6s %7s %6s %7s %6s\n",
 		"", "Mcyc/s", "cpu%", "proto%", "net%", "engine%", "rest%")
 	csvRows := [][]string{{"mode", "mcycles_per_sec", "cpu_share", "protocol_share",
 		"net_share", "engine_share", "rest_share"}}
-	for _, m := range modes {
-		bench, ok := nim.BenchmarkByName("mgrid", m.cfg.NumCPUs)
-		if !ok {
-			fatal(fmt.Errorf("benchmark mgrid not found"))
-		}
-		s, err := nim.NewSimulation(m.cfg, bench, opt.Seed)
-		if err != nil {
-			fatal(err)
-		}
-		s.Warm()
-		if err := s.Instrument(nim.Instruments{Profile: true}); err != nil {
-			fatal(err)
-		}
-		s.Start()
-		s.Run(opt.WarmCycles)
-		s.ResetStats()
-		s.Run(opt.MeasureCycles)
-		r := s.Results()
-		if r.Profile == nil {
-			fatal(fmt.Errorf("%s: no profile attached", m.name))
-		}
+	for i, m := range modes {
+		r := rs[i].Results
 		share := func(names ...string) float64 {
 			var sum float64
 			for _, ph := range r.Profile.Phases {

@@ -103,8 +103,17 @@ func main() {
 	}
 
 	if *diverge != "" {
-		runDiverge(opts, *diverge, *warm, *measure, *tinter,
-			*thermal || *tmap, *digestIv, *asJSON)
+		// The two runs are plain runner jobs on one benchmark: no mix,
+		// replay or tracer, and no report but the diverge report. Refuse
+		// the flags that need them rather than silently dropping them.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "mix", "replay", "metrics", "trace", "spans", "breakdown",
+				"profile", "proftrace", "heatmap", "buses", "tmap":
+				fatalf("-%s cannot be used with -diverge", f.Name)
+			}
+		})
+		runDiverge(opts, *diverge, *warm, *measure, *tinter, *thermal, *digestIv, *asJSON)
 		return
 	}
 

@@ -127,10 +127,10 @@ func TestDigestGolden(t *testing.T) {
 func TestDigestRecordPathAllocs(t *testing.T) {
 	cfg := managedRun(nim.CMPDNUCA3D, false, 0).cfg
 	sim := newSim(t, cfg, 3, nim.Instruments{ThermalInterval: 500, DigestInterval: 1})
-	sim.Run(2_000)
+	sim.Run(20)
 	sim.ResetStats()
 	rec := sim.DigestRecorder()
-	sim.Run(2_000) // populate in-flight state for the walker to fold
+	sim.Run(20) // populate in-flight state for the walker to fold
 	const rounds = 200
 	rec.Reserve(len(rec.Records()) + rounds + 10)
 	cycle := uint64(1 << 32)

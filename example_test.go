@@ -63,30 +63,12 @@ R 1a2b
 	// first: 0x1a2b write=false
 }
 
-// The paper's scheme comparison, fanned out over four workers. Every
-// simulation is self-contained and deterministic in its seed, so the
-// parallel sweep returns exactly what four sequential runs would — only
-// the wall-clock time changes.
-func ExampleRunAllSchemes_parallel() {
-	opt := nim.DefaultOptions()
-	opt.WarmCycles, opt.MeasureCycles = 10_000, 30_000
-	opt.Parallel = 4 // one worker per scheme; 1 would run sequentially
-
-	res, err := nim.RunAllSchemes("mgrid", opt)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("schemes measured:", len(res))
-	fmt.Println("3D beats 2D:",
-		res[nim.CMPSNUCA3D].AvgL2HitLatency < res[nim.CMPDNUCA2D].AvgL2HitLatency)
-	// Output:
-	// schemes measured: 4
-	// 3D beats 2D: true
-}
-
 // A custom sweep: heterogeneous jobs (here, two pillar counts) run on a
 // bounded worker pool, with results returned in input order and per-job
-// errors captured instead of aborting the batch.
+// errors captured instead of aborting the batch. Every simulation is
+// self-contained and deterministic in its seed, so the two workers return
+// exactly what two sequential runs would — only the wall-clock time
+// changes.
 func ExampleRunSweep() {
 	opt := nim.DefaultOptions()
 	opt.WarmCycles, opt.MeasureCycles = 10_000, 30_000

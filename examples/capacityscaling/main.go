@@ -24,17 +24,26 @@ func main() {
 	fmt.Printf("benchmark: %s\n\n", bench)
 	fmt.Printf("%6s %18s %18s\n", "L2", "CMP-DNUCA-2D", "CMP-DNUCA-3D")
 
+	sizes := []int{16, 32, 64}
+	var jobs []nim.SweepJob
+	for _, mb := range sizes {
+		for _, s := range []nim.Scheme{nim.CMPDNUCA2D, nim.CMPDNUCA3D} {
+			cfg, err := nim.DefaultConfig(s).WithL2Size(mb)
+			if err != nil {
+				log.Fatal(err)
+			}
+			jobs = append(jobs, nim.NewSweepJob(cfg, bench, opt))
+		}
+	}
+	rs := nim.RunSweep(jobs, 0, nil)
+	if err := nim.SweepError(rs); err != nil {
+		log.Fatal(err)
+	}
+
 	type point struct{ lat2, lat3 float64 }
 	var pts []point
-	for _, mb := range []int{16, 32, 64} {
-		r2, err := nim.RunWithL2Size(nim.CMPDNUCA2D, bench, mb, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r3, err := nim.RunWithL2Size(nim.CMPDNUCA3D, bench, mb, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, mb := range sizes {
+		r2, r3 := rs[2*i].Results, rs[2*i+1].Results
 		fmt.Printf("%4dMB %15.1f cy %15.1f cy\n", mb, r2.AvgL2HitLatency, r3.AvgL2HitLatency)
 		pts = append(pts, point{r2.AvgL2HitLatency, r3.AvgL2HitLatency})
 	}

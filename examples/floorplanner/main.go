@@ -52,9 +52,19 @@ func main() {
 	fmt.Printf("peak temperature budget: %.0f C; benchmark: %s\n\n", *budget, *bench)
 	fmt.Printf("%-30s %10s %8s %14s %8s\n", "configuration", "peak C", "fits", "L2 hit lat", "IPC")
 
+	// Every candidate's performance run, in one sweep.
+	jobs := make([]nim.SweepJob, len(candidates))
+	for i, cand := range candidates {
+		jobs[i] = nim.NewSweepJob(cand.cfg, *bench, opt)
+	}
+	rs := nim.RunSweep(jobs, 0, nil)
+	if err := nim.SweepError(rs); err != nil {
+		log.Fatal(err)
+	}
+
 	var bestName string
 	var bestLat float64
-	for _, cand := range candidates {
+	for i, cand := range candidates {
 		top, err := config.NewTopology(cand.cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -65,22 +75,7 @@ func main() {
 		if fits {
 			mark = "yes"
 		}
-
-		benchProf, ok := nim.BenchmarkByName(*bench, cand.cfg.NumCPUs)
-		if !ok {
-			log.Fatalf("unknown benchmark %s", *bench)
-		}
-		sim, err := nim.NewSimulation(cand.cfg, benchProf, opt.Seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sim.Warm()
-		sim.Start()
-		sim.Run(opt.WarmCycles)
-		sim.ResetStats()
-		sim.Run(opt.MeasureCycles)
-		r := sim.Results()
-
+		r := rs[i].Results
 		fmt.Printf("%-30s %10.1f %8s %11.1f cy %8.3f\n",
 			cand.name, prof.PeakC, mark, r.AvgL2HitLatency, r.IPC)
 		if fits && (bestName == "" || r.AvgL2HitLatency < bestLat) {

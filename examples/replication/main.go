@@ -23,37 +23,24 @@ func main() {
 	opt := nim.DefaultOptions()
 	opt.MeasureCycles = 300_000 // replicas need reuse distance to pay off
 
-	run := func(name string, cfg nim.Config) nim.Results {
-		prof, ok := nim.BenchmarkByName(bench, cfg.NumCPUs)
-		if !ok {
-			log.Fatalf("unknown benchmark %q", bench)
-		}
-		sim, err := nim.NewSimulation(cfg, prof, opt.Seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sim.Warm()
-		sim.Start()
-		sim.Run(opt.WarmCycles)
-		sim.ResetStats()
-		sim.Run(opt.MeasureCycles)
-		r := sim.Results()
-		fmt.Printf("%-22s %9.1f cy %8.3f %10d %12d %13d\n",
-			name, r.AvgL2HitLatency, r.IPC, r.Migrations, r.Replications, r.ReplicaHits)
-		return r
-	}
-
 	fmt.Printf("benchmark: %s\n\n", bench)
 	fmt.Printf("%-22s %12s %8s %10s %12s %13s\n",
 		"organization", "L2 hit lat", "IPC", "migrations", "replications", "replica hits")
 
-	static := run("SNUCA-3D (static)", nim.DefaultConfig(nim.CMPSNUCA3D))
-
-	vrCfg := nim.DefaultConfig(nim.CMPSNUCA3D)
-	vrCfg.VictimReplication = true
-	vr := run("SNUCA-3D + replication", vrCfg)
-
-	dnuca := run("DNUCA-3D (migration)", nim.DefaultConfig(nim.CMPDNUCA3D))
+	// The replication ablation's plain and replicated SNUCA-3D jobs, then
+	// DNUCA-3D, in one sweep.
+	pair := nim.ReplicationAblationJobs(bench, opt)
+	jobs := append(pair[:], nim.NewSweepJob(nim.DefaultConfig(nim.CMPDNUCA3D), bench, opt))
+	rs := nim.RunSweep(jobs, 0, nil)
+	if err := nim.SweepError(rs); err != nil {
+		log.Fatal(err)
+	}
+	for i, name := range []string{"SNUCA-3D (static)", "SNUCA-3D + replication", "DNUCA-3D (migration)"} {
+		r := rs[i].Results
+		fmt.Printf("%-22s %9.1f cy %8.3f %10d %12d %13d\n",
+			name, r.AvgL2HitLatency, r.IPC, r.Migrations, r.Replications, r.ReplicaHits)
+	}
+	static, vr, dnuca := rs[0].Results, rs[1].Results, rs[2].Results
 
 	fmt.Printf("\nreplication vs static:   %+.1f cycles\n", vr.AvgL2HitLatency-static.AvgL2HitLatency)
 	fmt.Printf("migration vs static:     %+.1f cycles\n", dnuca.AvgL2HitLatency-static.AvgL2HitLatency)

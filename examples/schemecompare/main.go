@@ -25,12 +25,19 @@ func main() {
 	fmt.Printf("%-14s %12s %10s %12s %12s\n",
 		"scheme", "L2 hit lat", "IPC", "migrations", "flit-hops")
 
-	results, err := nim.RunAllSchemes(bench, opt)
-	if err != nil {
+	schemes := nim.Schemes()
+	jobs := make([]nim.SweepJob, len(schemes))
+	for i, s := range schemes {
+		jobs[i] = nim.NewSweepJob(nim.DefaultConfig(s), bench, opt)
+	}
+	rs := nim.RunSweep(jobs, 0, nil)
+	if err := nim.SweepError(rs); err != nil {
 		log.Fatal(err)
 	}
-	for _, s := range nim.Schemes() {
-		r := results[s]
+	results := make(map[nim.Scheme]nim.Results, len(schemes))
+	for i, s := range schemes {
+		r := rs[i].Results
+		results[s] = r
 		fmt.Printf("%-14s %9.1f cy %10.3f %12d %12d\n",
 			r.Scheme, r.AvgL2HitLatency, r.IPC, r.Migrations, r.FlitHops)
 	}

@@ -352,8 +352,7 @@ func runChunked(sys *core.System, j Job, cycles uint64, base, span float64, meas
 }
 
 // FirstError returns the first failed job's error in input order, or nil
-// when every job succeeded — the policy the public sweep helpers use to
-// keep their historical (results, error) signatures.
+// when every job succeeded (nim.SweepError).
 func FirstError(results []Result) error {
 	for _, r := range results {
 		if r.Err != nil {

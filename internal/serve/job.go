@@ -150,7 +150,6 @@ type job struct {
 	profile  *prof.Snapshot // latest host-side phase snapshot, nil until first chunk
 
 	digest        *digest.Report // final digest report, nil unless the job digested
-	droppedEvents uint64         // trace-ring events lost to backpressure (obs.RingSink)
 	verified      bool           // hook-free reference rerun completed and streams compared
 	mismatch      bool           // the reference comparison found a divergence
 	mismatchCycle uint64
@@ -217,12 +216,10 @@ func (rec *job) appendRow(header []string, row []float64) {
 	rec.mu.Unlock()
 }
 
-// setDigest publishes the run's final digest report and the trace-ring
-// drop count alongside it (both land together, from the run's Results).
-func (rec *job) setDigest(rep *digest.Report, dropped uint64) {
+// setDigest publishes the run's final digest report.
+func (rec *job) setDigest(rep *digest.Report) {
 	rec.mu.Lock()
 	rec.digest = rep
-	rec.droppedEvents = dropped
 	rec.mu.Unlock()
 }
 

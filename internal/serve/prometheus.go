@@ -84,8 +84,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counters map[string]uint64
 		profile  *prof.Snapshot
 
-		terminal      bool
-		dropped       uint64
 		digest        string // final 64-bit state digest (16 hex), "" if undigested
 		digestIval    uint64
 		verified      bool
@@ -103,8 +101,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				jr.counters[nv.Name] = nv.Value
 			}
 		}
-		jr.terminal = terminal(rec.state)
-		jr.dropped = rec.droppedEvents
 		if rec.digest != nil {
 			jr.digest = rec.digest.Digest
 			jr.digestIval = rec.digest.Interval
@@ -158,16 +154,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		fmt.Fprintf(&b, "nimsim_job_cycles_per_sec{job=%q} %g\n", jr.id, jr.profile.CyclesPerSec)
-	}
-
-	// Trace-ring drops, per finished job: non-zero means the job's Chrome
-	// trace is incomplete (obs.RingSink shed events under backpressure).
-	fmt.Fprintf(&b, "# HELP nimsim_job_dropped_events Trace events lost to ring-buffer backpressure, per finished job.\n# TYPE nimsim_job_dropped_events gauge\n")
-	for _, jr := range rows {
-		if !jr.terminal {
-			continue
-		}
-		fmt.Fprintf(&b, "nimsim_job_dropped_events{job=%q} %d\n", jr.id, jr.dropped)
 	}
 
 	// State digests: the run's final 64-bit digest as a label (info-style

@@ -197,14 +197,8 @@ func (s *Server) runJob(rec *job) {
 		return
 	}
 	if res.Results.Digests != nil {
-		var dropped uint64
-		if res.Samples != nil {
-			dropped = res.Samples.DroppedEvents
-		}
-		rec.setDigest(res.Results.Digests, dropped)
+		rec.setDigest(res.Results.Digests)
 		s.verifyDigest(rec, res.Results.Digests)
-	} else if res.Samples != nil {
-		rec.setDigest(nil, res.Samples.DroppedEvents)
 	}
 	s.m.completed.Add(1)
 	// The registry keeps these bytes for the daemon's lifetime; the clone

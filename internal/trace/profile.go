@@ -120,26 +120,32 @@ var profiles = []Profile{
 func Profiles(ncpu int) []Profile {
 	out := make([]Profile, len(profiles))
 	for i, p := range profiles {
-		p.MemRatio = 0.3
-		p.WriteFrac = 0.3
-		total := DeriveL1MissRate(p.L2TransactionsM, ncpu, p.MemRatio)
-		p.L1MissRate = total * (1 - p.IFetchShare)
-		p.IFetchColdFrac = total * p.IFetchShare
-		p.SharedLines = 12288
-		p.HotLines = 512
-		out[i] = p
+		out[i] = derive(p, ncpu)
 	}
 	return out
 }
 
-// ProfileByName finds a benchmark profile by name.
+// ProfileByName finds a benchmark profile by name, deriving only that
+// one.
 func ProfileByName(name string, ncpu int) (Profile, bool) {
-	for _, p := range Profiles(ncpu) {
+	for _, p := range profiles {
 		if p.Name == name {
-			return p, true
+			return derive(p, ncpu), true
 		}
 	}
 	return Profile{}, false
+}
+
+// derive populates a table entry's derived fields for ncpu CPUs.
+func derive(p Profile, ncpu int) Profile {
+	p.MemRatio = 0.3
+	p.WriteFrac = 0.3
+	total := DeriveL1MissRate(p.L2TransactionsM, ncpu, p.MemRatio)
+	p.L1MissRate = total * (1 - p.IFetchShare)
+	p.IFetchColdFrac = total * p.IFetchShare
+	p.SharedLines = 12288
+	p.HotLines = 512
+	return p
 }
 
 // Ref is one memory reference produced by a generator.

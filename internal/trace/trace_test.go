@@ -70,6 +70,18 @@ func TestProfileByName(t *testing.T) {
 	if _, ok := ProfileByName("nonexistent", 8); ok {
 		t.Fatal("found nonexistent benchmark")
 	}
+	// It derives the same profile Profiles does, at every CPU count.
+	for _, ncpu := range []int{4, 8, 16} {
+		for _, want := range Profiles(ncpu) {
+			if got, ok := ProfileByName(want.Name, ncpu); !ok || got != want {
+				t.Errorf("ProfileByName(%q, %d) = %+v, %v; want %+v", want.Name, ncpu, got, ok, want)
+			}
+		}
+	}
+	// It runs on every daemon submission, so it must not build the table.
+	if allocs := testing.AllocsPerRun(100, func() { ProfileByName("swim", 8) }); allocs != 0 {
+		t.Errorf("ProfileByName allocates %.1f times per call, want 0", allocs)
+	}
 }
 
 func TestGeneratorDeterminism(t *testing.T) {

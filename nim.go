@@ -102,20 +102,34 @@ type ThermalProfile = thermal.Profile
 // SweepJob describes one simulation in a batch sweep: a full Config
 // (scheme plus any per-job overrides such as L2 size, layer count, or
 // pillar count), a benchmark name, the warm/measure windows, and a seed.
-// Build common jobs with NewSweepJob and customize Config afterwards.
+// Build common jobs with NewSweepJob and customize Config afterwards, or
+// take a study's jobs from its builder (SchemeRepeatedJobs,
+// VerticalAblationJobs, ...), and run them with RunSweep.
 type SweepJob = runner.Job
 
 // SweepResult pairs a SweepJob with its outcome: the job's input-slice
 // Index, its Results on success, or a per-job Err on failure.
 type SweepResult = runner.Result
 
-// NewSweepJob builds the common sweep job: one scheme configuration
-// running one benchmark under opt's windows and seed.
+// NewSweepJob builds the common sweep job: one machine configuration
+// running one benchmark under opt's windows and seed. With a scheme's
+// DefaultConfig it measures one bar of Figures 13 (AvgL2HitLatency), 14
+// (Migrations) and 15 (IPC). Figure 16 scales the L2 first
+// (Config.WithL2Size), Figure 17 lowers NumPillars on CMP-DNUCA-3D — the
+// paper's proxy for lower inter-layer via density — and Figure 18 sets
+// Layers on CMP-SNUCA-3D.
 func NewSweepJob(cfg Config, benchName string, opt Options) SweepJob {
-	return jobFor(cfg, benchName, opt)
+	return SweepJob{
+		Config:        cfg,
+		Benchmark:     benchName,
+		WarmCycles:    opt.WarmCycles,
+		MeasureCycles: opt.MeasureCycles,
+		Seed:          opt.Seed,
+	}
 }
 
-// RunSweep executes independent simulation jobs on a bounded worker pool
+// RunSweep is how the package runs whole simulations, from one job to a
+// study's worth: it executes independent jobs on a bounded worker pool
 // and returns one SweepResult per job in input order. parallel bounds the
 // number of concurrent simulations (<= 0 selects runtime.GOMAXPROCS(0);
 // 1 runs strictly sequentially). A failed job is captured in its

@@ -56,10 +56,18 @@ func TestSimulationLifecycle(t *testing.T) {
 	}
 }
 
-func TestRunSchemeRejectsUnknownBenchmark(t *testing.T) {
-	if _, err := nim.RunScheme(nim.CMPDNUCA3D, "nope", nim.DefaultOptions()); err == nil {
-		t.Error("unknown benchmark accepted")
+// runJobs runs jobs as one sweep and returns their Results in order.
+func runJobs(t *testing.T, jobs ...nim.SweepJob) []nim.Results {
+	t.Helper()
+	rs := nim.RunSweep(jobs, 0, nil)
+	if err := nim.SweepError(rs); err != nil {
+		t.Fatal(err)
 	}
+	out := make([]nim.Results, len(rs))
+	for i, r := range rs {
+		out[i] = r.Results
+	}
+	return out
 }
 
 func TestPaperHeadlineShape(t *testing.T) {
@@ -69,13 +77,12 @@ func TestPaperHeadlineShape(t *testing.T) {
 		t.Skip("multi-scheme simulation in -short mode")
 	}
 	opt := nim.Options{WarmCycles: 30_000, MeasureCycles: 120_000, Seed: 1}
-	res, err := nim.RunAllSchemes("mgrid", opt)
-	if err != nil {
-		t.Fatal(err)
+	var jobs []nim.SweepJob
+	for _, s := range []nim.Scheme{nim.CMPDNUCA2D, nim.CMPSNUCA3D, nim.CMPDNUCA3D} {
+		jobs = append(jobs, nim.NewSweepJob(nim.DefaultConfig(s), "mgrid", opt))
 	}
-	d2 := res[nim.CMPDNUCA2D]
-	s3 := res[nim.CMPSNUCA3D]
-	d3 := res[nim.CMPDNUCA3D]
+	res := runJobs(t, jobs...)
+	d2, s3, d3 := res[0], res[1], res[2]
 
 	// 1. 3D without migration beats 2D with migration (the paper's most
 	//    striking result).
@@ -104,14 +111,14 @@ func TestFigure17PillarTrend(t *testing.T) {
 		t.Skip("simulation sweep in -short mode")
 	}
 	opt := nim.Options{WarmCycles: 30_000, MeasureCycles: 100_000, Seed: 1}
-	r8, err := nim.RunWithPillars("swim", 8, opt)
-	if err != nil {
-		t.Fatal(err)
+	var jobs []nim.SweepJob
+	for _, p := range []int{8, 2} {
+		cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
+		cfg.NumPillars = p
+		jobs = append(jobs, nim.NewSweepJob(cfg, "swim", opt))
 	}
-	r2, err := nim.RunWithPillars("swim", 2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runJobs(t, jobs...)
+	r8, r2 := rs[0], rs[1]
 	// Fewer pillars -> more contention -> higher latency (Figure 17).
 	if r2.AvgL2HitLatency <= r8.AvgL2HitLatency {
 		t.Errorf("2 pillars (%.1f) not above 8 pillars (%.1f)",
@@ -124,14 +131,14 @@ func TestFigure18LayerTrend(t *testing.T) {
 		t.Skip("simulation sweep in -short mode")
 	}
 	opt := nim.Options{WarmCycles: 30_000, MeasureCycles: 100_000, Seed: 1}
-	r2, err := nim.RunWithLayers("mgrid", 2, opt)
-	if err != nil {
-		t.Fatal(err)
+	var jobs []nim.SweepJob
+	for _, l := range []int{2, 4} {
+		cfg := nim.DefaultConfig(nim.CMPSNUCA3D)
+		cfg.Layers = l
+		jobs = append(jobs, nim.NewSweepJob(cfg, "mgrid", opt))
 	}
-	r4, err := nim.RunWithLayers("mgrid", 4, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runJobs(t, jobs...)
+	r2, r4 := rs[0], rs[1]
 	// More layers -> shorter distances -> lower latency (Figure 18).
 	if r4.AvgL2HitLatency >= r2.AvgL2HitLatency {
 		t.Errorf("4 layers (%.1f) not below 2 layers (%.1f)",
@@ -144,10 +151,9 @@ func TestReplicationAblationAPI(t *testing.T) {
 		t.Skip("simulation in -short mode")
 	}
 	opt := nim.Options{WarmCycles: 30_000, MeasureCycles: 150_000, Seed: 1}
-	plain, vr, err := nim.ReplicationAblation("equake", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair := nim.ReplicationAblationJobs("equake", opt)
+	rs := runJobs(t, pair[:]...)
+	plain, vr := rs[0], rs[1]
 	if plain.Replications != 0 {
 		t.Error("plain scheme replicated")
 	}
@@ -179,10 +185,9 @@ func TestStackedVsOffsetAPI(t *testing.T) {
 		t.Skip("simulation in -short mode")
 	}
 	opt := nim.Options{WarmCycles: 20_000, MeasureCycles: 80_000, Seed: 1}
-	offset, stacked, err := nim.StackedVsOffset("mgrid", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair := nim.StackedVsOffsetJobs("mgrid", opt)
+	rs := runJobs(t, pair[:]...)
+	offset, stacked := rs[0], rs[1]
 	// Stacking CPUs congests shared pillar columns: latency must not improve.
 	if stacked.AvgL2HitLatency < offset.AvgL2HitLatency {
 		t.Errorf("stacked (%.1f) unexpectedly beat offset (%.1f)",
@@ -195,10 +200,9 @@ func TestClusterSkipAblationAPI(t *testing.T) {
 		t.Skip("simulation in -short mode")
 	}
 	opt := nim.Options{WarmCycles: 20_000, MeasureCycles: 60_000, Seed: 1}
-	withSkip, withoutSkip, err := nim.ClusterSkipAblation("swim", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair := nim.ClusterSkipAblationJobs("swim", opt)
+	rs := runJobs(t, pair[:]...)
+	withSkip, withoutSkip := rs[0], rs[1]
 	if withSkip.L2Hits == 0 || withoutSkip.L2Hits == 0 {
 		t.Error("ablation runs made no progress")
 	}
@@ -209,10 +213,7 @@ func TestMigrationThresholdSweepAPI(t *testing.T) {
 		t.Skip("simulation in -short mode")
 	}
 	opt := nim.Options{WarmCycles: 20_000, MeasureCycles: 60_000, Seed: 1}
-	rs, err := nim.MigrationThresholdSweep("art", []int{1, 4}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runJobs(t, nim.MigrationThresholdSweepJobs("art", []int{1, 4}, opt)...)
 	if len(rs) != 2 {
 		t.Fatalf("got %d results", len(rs))
 	}

@@ -55,6 +55,10 @@ check -diverge pillars=2,stack=true
 # the machine flags' names.
 check -diverge bench=nope
 check -diverge foo=1
+# -diverge runs two plain jobs, so flags it cannot honour are refused, not
+# dropped.
+check -diverge seed=2 -mix art,mgrid
+check -diverge seed=2 -heatmap
 # An unknown or empty -bench item is rejected before any section prints.
 run experiments -figure 17 -bench nope
 run experiments -all -bench mgrid,

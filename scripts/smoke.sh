@@ -9,7 +9,8 @@
 # differ only in their "submits" line. Last, a job with an unknown
 # benchmark must be refused with 400 and registered nowhere. Exercises
 # the full binary + listener path that the in-process httptest suite
-# cannot.
+# cannot. The binary and every response land in one temporary directory,
+# removed on exit, so concurrent runs do not share files.
 #
 # Usage: scripts/smoke.sh [port]   (default 18080)
 set -euo pipefail
@@ -19,13 +20,14 @@ PORT="${1:-18080}"
 ADDR="127.0.0.1:${PORT}"
 BODY='{"scheme":"dnuca3d","benchmark":"mgrid","warm_cycles":1000,"measure_cycles":5000,"sample_interval":500,"digest_interval":500}'
 
-echo "smoke: building nimsimd"
-go build -o /tmp/nimsimd-smoke ./cmd/nimsimd
-
 OUT=$(mktemp -d)
-/tmp/nimsimd-smoke -addr "$ADDR" -workers 1 &
-DAEMON=$!
+DAEMON=
 trap 'kill "$DAEMON" 2>/dev/null || true; rm -rf "$OUT"' EXIT
+
+echo "smoke: building nimsimd"
+go build -o "$OUT/nimsimd" ./cmd/nimsimd
+"$OUT/nimsimd" -addr "$ADDR" -workers 1 &
+DAEMON=$!
 
 echo "smoke: waiting for /healthz on $ADDR"
 for i in $(seq 1 50); do
