@@ -184,8 +184,8 @@ type section struct {
 // its job, so two sections asking for jobs with the same Identity get the
 // same Results whether it runs once or twice; sections only read Results,
 // so sharing one run's value among them is safe. The command's jobs set
-// no hooks or Profile: hooks are not part of the identity, and a profiled
-// run's Results hold wall-clock numbers that differ run to run.
+// no OnChunk or Profile: OnChunk is not part of the identity, and a
+// profiled run's Results hold wall-clock numbers that differ run to run.
 //
 // The deduplication lives here, not in internal/runner or nim.RunSweep:
 // runner.Diverge deliberately runs two identical jobs as two independent

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/cache"
@@ -86,20 +87,22 @@ type Overrides struct {
 }
 
 // Build returns the named scheme's Default with the overrides applied.
-// It does not validate the result; NewTopology does.
+// Every non-zero value applies, negative ones included, so that a bad
+// value is refused by name instead of building the default machine. Build
+// does not validate the result; NewTopology does.
 func (o Overrides) Build(scheme string) (Config, error) {
 	s, err := ParseScheme(scheme)
 	if err != nil {
 		return Config{}, err
 	}
 	c := Default(s)
-	if o.Layers > 0 {
+	if o.Layers != 0 {
 		c.Layers = o.Layers
 	}
-	if o.Pillars > 0 {
+	if o.Pillars != 0 {
 		c.NumPillars = o.Pillars
 	}
-	if o.L2MB > 0 {
+	if o.L2MB != 0 {
 		if c, err = c.WithL2Size(o.L2MB); err != nil {
 			return Config{}, err
 		}
@@ -288,8 +291,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: %s = %d must be >= 1", name, v)
 		}
 	}
-	if c.TripTempC < 0 {
-		return fmt.Errorf("config: TripTempC = %g must be >= 0 (0 selects the 85 C default)", c.TripTempC)
+	if t := c.TripTempC; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("config: TripTempC = %g must be finite and >= 0 (0 selects the 85 C default)", c.TripTempC)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -106,6 +107,15 @@ func TestValidateRejects(t *testing.T) {
 	c.L1Ways = 64
 	if err := c.Validate(); err != nil {
 		t.Errorf("L1Ways = 64 must pass: %v", err)
+	}
+	// A trip temperature that is not a finite number could never trip, and
+	// the canonical JSON encoding cannot carry it.
+	for _, trip := range []float64{-1, math.NaN(), math.Inf(1)} {
+		c = Default(CMPDNUCA3D)
+		c.DTMPolicy, c.TripTempC = "all", trip
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "TripTempC") {
+			t.Errorf("TripTempC = %g: Validate = %v, want an error naming TripTempC", trip, err)
+		}
 	}
 }
 

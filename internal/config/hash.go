@@ -22,8 +22,9 @@ import (
 func CanonicalHash(c Config) string {
 	b, err := json.Marshal(c)
 	if err != nil {
-		// Config is plain data (ints, bools, strings, one flat struct);
-		// Marshal cannot fail on it.
+		// Config is plain data (ints, bools, strings, one flat struct), so
+		// Marshal fails only on a TripTempC that is NaN or infinite, which
+		// Validate rejects: callers hash configs that passed Validate.
 		panic(fmt.Sprintf("config: canonical encoding failed: %v", err))
 	}
 	sum := sha256.Sum256(b)

@@ -490,8 +490,8 @@ func managedRun(t *testing.T, scheme config.Scheme, chunk uint64, profile bool) 
 // runs on one serial path (the layer-sharded variant it was named for is
 // gone; DESIGN.md §15). The serial engine can still execute a window in
 // one Run call or in uneven chunks with the profiler attached, as the
-// runner does for progress hooks. Both must give byte-identical Results
-// and sampler time series, for every scheme.
+// runner always does. Both must give byte-identical Results and sampler
+// time series, for every scheme.
 func TestShardedDeterminism(t *testing.T) {
 	schemes := []config.Scheme{
 		config.CMPDNUCA, config.CMPDNUCA2D, config.CMPSNUCA3D, config.CMPDNUCA3D,

@@ -184,58 +184,6 @@ func TestSamplerFirstTickPrimes(t *testing.T) {
 	}
 }
 
-func TestSamplerRowSink(t *testing.T) {
-	set := stats.NewSet()
-	c := set.Counter("n")
-	s := NewSampler(10)
-	s.AddCounterSet(set)
-
-	type streamed struct {
-		header []string
-		row    []float64
-	}
-	var got []streamed
-	s.SetRowSink(func(header []string, row []float64) {
-		// Copy, as the contract requires of sinks that retain rows.
-		got = append(got, streamed{
-			header: append([]string(nil), header...),
-			row:    append([]float64(nil), row...),
-		})
-	})
-
-	for cycle := uint64(0); cycle <= 30; cycle++ {
-		c.Add(1)
-		s.Tick(cycle)
-	}
-	ts := s.Series()
-	if len(got) != len(ts.Rows) {
-		t.Fatalf("sink saw %d rows, series has %d", len(got), len(ts.Rows))
-	}
-	for i, g := range got {
-		if len(g.header) != len(ts.Header) || g.header[0] != "cycle" {
-			t.Fatalf("sink row %d header = %v, want %v", i, g.header, ts.Header)
-		}
-		for j, v := range ts.Rows[i] {
-			if g.row[j] != v {
-				t.Fatalf("sink row %d = %v, series row = %v", i, g.row, ts.Rows[i])
-			}
-		}
-	}
-
-	// Detaching stops the stream but not the series.
-	s.SetRowSink(nil)
-	before := len(got)
-	for cycle := uint64(31); cycle <= 50; cycle++ {
-		s.Tick(cycle)
-	}
-	if len(got) != before {
-		t.Fatal("detached sink still received rows")
-	}
-	if len(s.Series().Rows) <= before {
-		t.Fatal("series stopped accumulating after sink detach")
-	}
-}
-
 func TestTimeSeriesCSV(t *testing.T) {
 	ts := &TimeSeries{
 		Header: []string{"cycle", "x"},

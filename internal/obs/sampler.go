@@ -113,10 +113,6 @@ type Sampler struct {
 	// lastSet holds the previous cumulative value per counter-set column,
 	// for per-interval deltas.
 	lastSet map[string]uint64
-
-	// rowSink, when non-nil, receives each sampled row as it is appended;
-	// see SetRowSink.
-	rowSink func(header []string, row []float64)
 }
 
 // NewSampler creates a sampler with the given period in cycles (>= 1).
@@ -129,21 +125,6 @@ func NewSampler(interval uint64) *Sampler {
 
 // Interval returns the sampling period in cycles.
 func (s *Sampler) Interval() uint64 { return s.interval }
-
-// SetRowSink installs a streaming sink: fn is invoked once per sampled
-// row, immediately after the row is appended to the series, with the
-// series header (first element always "cycle") and the just-sampled row.
-// Both slices are owned by the sampler and stay valid but must not be
-// mutated; a sink that retains a row beyond the call must copy it. The
-// sink runs on the goroutine stepping the simulation — it should hand the
-// data off quickly (e.g. publish under a lock, send on a channel) rather
-// than do I/O inline, or it will stall the simulated clock. A nil fn
-// detaches the sink. This is how the serving tier tees a running job's
-// interval metrics out live over SSE while Series() keeps accumulating
-// the full table for the final result.
-func (s *Sampler) SetRowSink(fn func(header []string, row []float64)) {
-	s.rowSink = fn
-}
 
 // AddGauge registers an instantaneous column: fn is evaluated at each
 // sampling instant and its value recorded as-is.
@@ -200,13 +181,14 @@ func (s *Sampler) Tick(cycle uint64) {
 		row = append(row, c.sample(cycle))
 	}
 	s.series.Rows = append(s.series.Rows, row)
-	if s.rowSink != nil {
-		s.rowSink(s.series.Header, row)
-	}
 }
 
 // Series returns the accumulated time series. The header materializes on
-// the first sampled row; an empty run yields a header-only series.
+// the first sampled row; an empty run yields a header-only series. The
+// sampler only appends rows, and never changes a row or the header once
+// made, so a caller may keep the slices of an earlier Series while
+// sampling goes on; the serving tier streams a running job's rows that
+// way.
 func (s *Sampler) Series() *TimeSeries {
 	if s.series.Header == nil {
 		hdr := make([]string, 1, len(s.cols)+1)

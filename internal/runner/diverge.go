@@ -87,10 +87,13 @@ func Diverge(a, b Job, interval uint64) (*DivergeReport, error) {
 	// Rerun both jobs (deterministic, so they replay exactly), running
 	// undigested up to the last agreeing snapshot, then digest every
 	// cycle through the divergent one. The recorder attaches mid-window,
-	// after where a sampler would sit, so the reruns drop the sampler.
+	// after where a sampler would sit, so the reruns drop the sampler. They
+	// drop the caller's hook too: it saw the coarse pass, and the reruns'
+	// windows differ from what it expects.
 	fa, fb := a, b
 	fa.DigestInterval, fb.DigestInterval = 1, 1
 	fa.SampleInterval, fb.SampleInterval = 0, 0
+	fa.OnChunk, fb.OnChunk = nil, nil
 	start := uint64(0)
 	if div.Cycle >= a.WarmCycles+interval {
 		start = div.Cycle - interval - a.WarmCycles
@@ -98,8 +101,6 @@ func Diverge(a, b Job, interval uint64) (*DivergeReport, error) {
 	fa.digestStart, fb.digestStart = start, start
 	mc := div.Cycle - a.WarmCycles + 1
 	fa.MeasureCycles, fb.MeasureCycles = mc, mc
-	stripHooks(&fa)
-	stripHooks(&fb)
 	ra, rb, _, _, err := runDigestPair(fa, fb)
 	if err != nil {
 		return nil, fmt.Errorf("refinement pass: %w", err)
@@ -126,11 +127,4 @@ func runDigestPair(a, b Job) (sa, sb []digest.Record, da, db string, err error) 
 	}
 	return res[0].Results.Digests.Stream, res[1].Results.Digests.Stream,
 		res[0].Results.Digests.Digest, res[1].Results.Digests.Digest, nil
-}
-
-// stripHooks drops the caller's observation hooks from a refinement
-// rerun — the caller already saw the coarse pass's progress, and the
-// rerun's windows differ from the hooks' expectations.
-func stripHooks(j *Job) {
-	j.Progress, j.OnSample, j.OnStats, j.OnProfile = nil, nil, nil, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/digest"
 )
 
@@ -24,16 +25,24 @@ func divergeBase() Job {
 }
 
 // TestDivergeEqual: a plain job against the same job with the profiler,
-// an odd-interval sampler and a progress hook attached (the hook forces
-// chunked execution) must come back equal with matching final digests —
-// the bisector attesting the observer contract rather than finding
-// phantom divergences.
+// an odd-interval sampler and an OnChunk hook that reads what the daemon
+// reads (sampler rows, counter and profiler snapshots) must come back
+// equal with matching final digests — the bisector attesting the observer
+// contract rather than finding phantom divergences.
 func TestDivergeEqual(t *testing.T) {
 	a := divergeBase()
 	b := a
 	b.Profile = true
 	b.SampleInterval = 777
-	b.Progress = func(float64) {}
+	b.OnChunk = func(sys *core.System, _ float64, measuring bool) {
+		if sm := sys.Sampler(); sm != nil {
+			_ = sm.Series()
+		}
+		if measuring {
+			_ = sys.StatsRegistry().Snapshot()
+			_ = sys.Profiler().Snap()
+		}
+	}
 	rep, err := Diverge(a, b, 1_000)
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +117,11 @@ func TestDivergeForcesWindows(t *testing.T) {
 }
 
 // TestDivergeValidatesFirst: an invalid variant fails before either run
-// starts, with an error naming run B; the base's progress hook would
-// fire on its first chunk.
+// starts, with an error naming run B; the base's OnChunk hook would run
+// after its first chunk.
 func TestDivergeValidatesFirst(t *testing.T) {
 	a := divergeBase()
-	a.Progress = func(float64) { t.Error("run A started although run B is invalid") }
+	a.OnChunk = func(*core.System, float64, bool) { t.Error("run A started although run B is invalid") }
 	for name, mutate := range map[string]func(*Job){
 		"benchmark": func(b *Job) { b.Benchmark = "nope" },
 		"NumCPUs":   func(b *Job) { b.Config.NumCPUs = 0 },

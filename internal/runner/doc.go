@@ -12,9 +12,10 @@
 //     layer count, pillar count, every Table 4 knob), a benchmark, the
 //     warm/measure windows, and a seed;
 //   - Pool.Run executes a slice of jobs on at most Workers goroutines
-//     (default runtime.GOMAXPROCS(0); Workers == 1 degenerates to the
-//     exact sequential loop the repository started with) and returns one
-//     Result per job, positionally matched to the input slice;
+//     (default runtime.GOMAXPROCS(0)) and returns one Result per job,
+//     positionally matched to the input slice;
+//   - every window advances in at most 64 Run calls, and a job's optional
+//     OnChunk hook reads the machine between them;
 //   - a failed job — unknown benchmark, invalid config, even a panicking
 //     simulation — is captured in its Result.Err and never aborts the
 //     sweep or kills the process;

@@ -11,8 +11,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/prof"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -52,45 +50,15 @@ type Job struct {
 	// measurement window; only Diverge's refinement pass sets it.
 	digestStart uint64
 
-	// Progress, when non-nil, receives the job's completion fraction —
-	// warm+measure cycles executed over the total — as the simulation
-	// advances. The sequence is monotonically non-decreasing, stays in
-	// [0, 1], and always ends with exactly 1.0 (including for zero-cycle
-	// windows). Setting it makes the runner advance the machine in
-	// bounded chunks instead of two long Run calls; chunked execution is
-	// cycle-for-cycle identical to unchunked (Run steps every cycle, so
-	// Run(a) then Run(b) steps exactly the cycles of Run(a+b)), so Results
-	// are unchanged. Calls arrive on the worker goroutine executing this
-	// job.
-	Progress func(fraction float64)
-
-	// OnSample, when non-nil (and SampleInterval non-zero), streams each
-	// sampled interval-metrics row the moment it is taken, via the
-	// sampler's row sink (obs.Sampler.SetRowSink): header is the column
-	// list (first entry "cycle"), row the freshly appended values. The
-	// slices are owned by the sampler — copy to retain. Calls arrive on
-	// the worker goroutine; hand the data off quickly (the simulated
-	// clock is stopped while the sink runs). Result.Samples still carries
-	// the complete series at the end.
-	OnSample func(header []string, row []float64)
-
-	// OnStats, when non-nil, receives a race-safe snapshot of the
-	// machine's counter registry (core.System.StatsRegistry) after each
-	// measurement chunk and once more at completion. The snapshot is
-	// taken between engine runs on the worker goroutine and shares no
-	// memory with the live counters, so the receiver may publish it to
-	// other goroutines as-is — the serving tier's /metrics reads these.
-	// Setting it implies chunked execution, as for Progress.
-	OnStats func(snap []stats.NameValue)
-
-	// OnProfile, when non-nil (and Profile true), receives a cheap live
-	// snapshot of the profiler — wall time, cycles/sec, per-phase
-	// seconds — after each measurement chunk and
-	// once more at completion; the serving tier's per-job phase gauges
-	// read these. The snapshot is a value taken between engine runs on
-	// the worker goroutine. Setting it implies chunked execution, as for
-	// Progress.
-	OnProfile func(snap prof.Snapshot)
+	// OnChunk, when non-nil, is called on the worker goroutine after every
+	// chunk of both windows and once more at completion. fraction is the
+	// job's completion, warm+measure cycles executed over the total: it is
+	// non-decreasing, stays in [0, 1] and ends with exactly 1.0, zero-cycle
+	// windows included. measuring reports the measurement window, where
+	// counters and the profile mean something; the final call sets it.
+	// The hook may read sys (counter snapshots, the sampler's rows, the
+	// profiler) but must not advance or change it.
+	OnChunk func(sys *core.System, fraction float64, measuring bool)
 }
 
 // Identity returns the job's id, 16 hex characters of the SHA-256 of the
@@ -98,7 +66,7 @@ type Job struct {
 // Results, together with the config.CanonicalHash inside it. Every
 // instrument with a wire name adds a report or a sample stream, so the
 // Instruments are all part of it; the host-side Profile has no wire name
-// and is not, and neither are the hooks. Jobs with equal ids produce
+// and is not, and neither is OnChunk. Jobs with equal ids produce
 // equal Results: the daemon's result cache and cmd/experiments' sweep
 // plan both key on it.
 func (j Job) Identity() (id, configHash string) {
@@ -154,9 +122,8 @@ type Result struct {
 // ready to use and runs on runtime.GOMAXPROCS(0) workers.
 type Pool struct {
 	// Workers bounds the number of concurrently running simulations.
-	// Values <= 0 select runtime.GOMAXPROCS(0). Workers == 1 runs the
-	// jobs sequentially on the calling goroutine, preserving the
-	// pre-runner behavior exactly.
+	// Values <= 0 select runtime.GOMAXPROCS(0); one worker runs the jobs
+	// one at a time, in input order.
 	Workers int
 	// Progress, when non-nil, is invoked once per finished job with the
 	// number of jobs done so far, the total, and the finished job's
@@ -180,16 +147,6 @@ func (p *Pool) Run(jobs []Job) []Result {
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
-	}
-
-	if workers == 1 {
-		for i, j := range jobs {
-			results[i] = runOne(i, j)
-			if p.Progress != nil {
-				p.Progress(i+1, len(jobs), results[i])
-			}
-		}
-		return results
 	}
 
 	var (
@@ -260,40 +217,20 @@ func runOne(i int, j Job) (res Result) {
 	}
 	sys.Warm(j.Seed)
 	sys.Start()
-	// Progress spans both windows proportionally: the warm phase covers
-	// [0, warmFrac], the measurement phase [warmFrac, 1].
-	total := j.WarmCycles + j.MeasureCycles
-	warmFrac := 0.0
-	if total > 0 {
-		warmFrac = float64(j.WarmCycles) / float64(total)
-	}
-	runChunked(sys, j, j.WarmCycles, 0, warmFrac, false)
+	done := runChunked(sys, j, j.WarmCycles, 0, false)
 	sys.ResetStats()
-	if sm := sys.Sampler(); sm != nil && j.OnSample != nil {
-		sm.SetRowSink(j.OnSample)
-	}
-	measureFrac := 1 - warmFrac
 	if digestAt > 0 {
-		// Split the window at the deferred attach point; both segments are
-		// ordinary chunked runs, so progress/stats hooks see one window.
-		startFrac := measureFrac * float64(digestAt) / float64(j.MeasureCycles)
-		runChunked(sys, j, digestAt, warmFrac, startFrac, true)
+		// Split the window at the deferred attach point; both segments
+		// are ordinary chunked runs, so OnChunk sees one window.
+		done = runChunked(sys, j, digestAt, done, true)
 		if err := sys.Instrument(core.Instruments{DigestInterval: j.DigestInterval}); err != nil {
 			res.Err = fmt.Errorf("runner: job %d: %w", i, err)
 			return res
 		}
-		runChunked(sys, j, j.MeasureCycles-digestAt, warmFrac+startFrac, measureFrac-startFrac, true)
-	} else {
-		runChunked(sys, j, j.MeasureCycles, warmFrac, measureFrac, true)
 	}
-	if j.Progress != nil {
-		j.Progress(1)
-	}
-	if j.OnStats != nil {
-		j.OnStats(sys.StatsRegistry().Snapshot())
-	}
-	if rec := sys.Profiler(); j.OnProfile != nil && rec != nil {
-		j.OnProfile(rec.Snap())
+	runChunked(sys, j, j.MeasureCycles-digestAt, done, true)
+	if j.OnChunk != nil {
+		j.OnChunk(sys, 1, true)
 	}
 	res.Results = sys.Results()
 	if sm := sys.Sampler(); sm != nil {
@@ -302,53 +239,30 @@ func runOne(i int, j Job) (res Result) {
 	return res
 }
 
-// progressChunks bounds how many Run calls a chunked phase splits into;
-// 64 keeps the per-call overhead invisible (each chunk is thousands of
-// cycles for realistic windows) while giving ~1.5% progress granularity.
+// progressChunks bounds how many Run calls one window (or segment of a
+// window) splits into; 64 keeps the per-call overhead invisible (each
+// chunk is thousands of cycles for realistic windows) while giving ~1.5%
+// progress granularity.
 const progressChunks = 64
 
-// runChunked advances the machine by cycles, either in one Run call (no
-// hooks set — the historical path, zero behavior change) or in up to
-// progressChunks bounded chunks, reporting base+span*done/cycles after
-// each. Chunked execution is cycle-for-cycle identical to a single Run:
-// Run steps every cycle, so Run(a) then Run(b) steps exactly the cycles
-// of Run(a+b), and only the observation points differ.
-// measuring gates the OnStats hook to the measurement window, where the
-// counters mean something.
-func runChunked(sys *core.System, j Job, cycles uint64, base, span float64, measuring bool) {
-	rec := sys.Profiler()
-	hooked := j.Progress != nil ||
-		(measuring && (j.OnStats != nil || (j.OnProfile != nil && rec != nil)))
-	if !hooked || cycles == 0 {
-		sys.Run(cycles)
-		return
-	}
-	chunk := cycles / progressChunks
-	if chunk == 0 {
-		chunk = 1
-	}
-	var done uint64
-	for done < cycles {
-		n := chunk
-		if cycles-done < n {
-			n = cycles - done
-		}
+// runChunked advances the machine by cycles in at most progressChunks Run
+// calls, calling j.OnChunk after each with the job's fraction done, and
+// returns the job's cycles done so far, starting from done. Chunked
+// execution is cycle-for-cycle identical to a single Run: Run steps every
+// cycle, so Run(a) then Run(b) steps exactly the cycles of Run(a+b), and
+// only the observation points differ.
+func runChunked(sys *core.System, j Job, cycles, done uint64, measuring bool) uint64 {
+	total := j.WarmCycles + j.MeasureCycles
+	chunk := cycles/progressChunks + min(cycles%progressChunks, 1) // rounded up
+	for end := done + cycles; done < end; {
+		n := min(chunk, end-done)
 		sys.Run(n)
 		done += n
-		if j.Progress != nil {
-			f := base + span*float64(done)/float64(cycles)
-			if f > 1 { // float round-off; the contract is [0, 1]
-				f = 1
-			}
-			j.Progress(f)
-		}
-		if measuring && j.OnStats != nil {
-			j.OnStats(sys.StatsRegistry().Snapshot())
-		}
-		if measuring && j.OnProfile != nil && rec != nil {
-			j.OnProfile(rec.Snap())
+		if j.OnChunk != nil {
+			j.OnChunk(sys, float64(done)/float64(total), measuring)
 		}
 	}
+	return done
 }
 
 // FirstError returns the first failed job's error in input order, or nil

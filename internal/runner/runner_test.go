@@ -255,11 +255,26 @@ func benchmarkSweep(b *testing.B, workers int) {
 	}
 }
 
-// TestJobProgressFraction pins the per-job completion-fraction contract:
-// monotonically non-decreasing, bounded by [0, 1], final value exactly
-// 1.0, spanning both the warm and the measurement windows — and, because
-// setting the hook switches the runner to chunked execution, that a
-// hooked run's Results are identical to an unhooked one's.
+// chunkCall is one OnChunk call as a test saw it.
+type chunkCall struct {
+	fraction  float64
+	measuring bool
+	cycle     uint64 // the machine's clock at the call
+}
+
+// recordChunks returns an OnChunk hook that appends every call to calls.
+func recordChunks(calls *[]chunkCall) func(*core.System, float64, bool) {
+	return func(sys *core.System, f float64, measuring bool) {
+		*calls = append(*calls, chunkCall{f, measuring, sys.Engine.Now()})
+	}
+}
+
+// TestJobProgressFraction pins the OnChunk contract: the fraction is
+// monotonically non-decreasing, bounded by [0, 1], spans both the warm
+// and the measurement windows and ends at exactly 1.0; measuring is false
+// after every warm chunk and true after every measurement chunk and at
+// completion; and a hooked run's Results are identical to an unhooked
+// one's.
 func TestJobProgressFraction(t *testing.T) {
 	base := Job{
 		Config:        config.Default(config.CMPDNUCA3D),
@@ -273,72 +288,82 @@ func TestJobProgressFraction(t *testing.T) {
 		t.Fatal(plain.Err)
 	}
 
-	var fracs []float64
+	var calls []chunkCall
 	hooked := base
-	hooked.Progress = func(f float64) { fracs = append(fracs, f) }
+	hooked.OnChunk = recordChunks(&calls)
 	got := Run([]Job{hooked}, 1)[0]
 	if got.Err != nil {
 		t.Fatal(got.Err)
 	}
 
-	if len(fracs) == 0 {
-		t.Fatal("progress hook never called")
+	if len(calls) == 0 {
+		t.Fatal("OnChunk never called")
 	}
-	for i, f := range fracs {
-		if f < 0 || f > 1 {
-			t.Fatalf("fraction %d = %v outside [0, 1]", i, f)
+	for i, c := range calls {
+		if c.fraction < 0 || c.fraction > 1 {
+			t.Fatalf("fraction %d = %v outside [0, 1]", i, c.fraction)
 		}
-		if i > 0 && f < fracs[i-1] {
-			t.Fatalf("fraction %d = %v after %v: not monotonic", i, f, fracs[i-1])
+		if i > 0 && c.fraction < calls[i-1].fraction {
+			t.Fatalf("fraction %d = %v after %v: not monotonic", i, c.fraction, calls[i-1].fraction)
+		}
+		// The warm window steps cycles [0, WarmCycles); every call after
+		// a later cycle is in the measurement window.
+		if want := c.cycle > base.WarmCycles; c.measuring != want {
+			t.Fatalf("call %d at cycle %d: measuring = %v, want %v", i, c.cycle, c.measuring, want)
 		}
 	}
-	if last := fracs[len(fracs)-1]; last != 1.0 {
-		t.Fatalf("final fraction = %v, want exactly 1.0", last)
+	last := calls[len(calls)-1]
+	if last.fraction != 1.0 || !last.measuring || last.cycle != base.WarmCycles+base.MeasureCycles {
+		t.Fatalf("final call = %+v, want fraction exactly 1.0, measuring, at cycle %d",
+			last, base.WarmCycles+base.MeasureCycles)
 	}
-	// ~64 chunks per phase plus the final 1.0: the hook must report real
+	// ~64 chunks per window plus the final call: the hook must see real
 	// intermediate progress, not just completion.
-	if len(fracs) < 10 {
-		t.Fatalf("only %d progress reports; chunking is not happening", len(fracs))
+	if len(calls) < 10 {
+		t.Fatalf("only %d OnChunk calls; chunking is not happening", len(calls))
 	}
-	// The first report is one warm chunk: a small, non-zero fraction well
-	// inside the warm window's [0, warmFrac] share.
+	// The first call follows one warm chunk: a small, non-zero fraction
+	// well inside the warm window's [0, warmFrac] share.
 	warmFrac := float64(base.WarmCycles) / float64(base.WarmCycles+base.MeasureCycles)
-	if fracs[0] <= 0 || fracs[0] > warmFrac/32 {
-		t.Errorf("first fraction = %v, want one warm chunk (0, %v]", fracs[0], warmFrac/32)
+	if calls[0].fraction <= 0 || calls[0].fraction > warmFrac/32 {
+		t.Errorf("first fraction = %v, want one warm chunk (0, %v]", calls[0].fraction, warmFrac/32)
 	}
 
 	if got.Results != plain.Results {
-		t.Errorf("chunked run diverged from unchunked:\nchunked:   %+v\nunchunked: %+v",
+		t.Errorf("hooked run diverged from unhooked:\nhooked:   %+v\nunhooked: %+v",
 			got.Results, plain.Results)
 	}
 }
 
 // TestJobProgressZeroWindow: zero-cycle windows are honored literally and
-// must still finish with fraction 1.0.
+// must still finish with a measuring call at fraction 1.0.
 func TestJobProgressZeroWindow(t *testing.T) {
-	var fracs []float64
+	var calls []chunkCall
 	j := Job{
 		Config:    config.Default(config.CMPSNUCA3D),
 		Benchmark: "mgrid",
 		Seed:      1,
-		Progress:  func(f float64) { fracs = append(fracs, f) },
 	}
+	j.OnChunk = recordChunks(&calls)
 	if r := Run([]Job{j}, 1)[0]; r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if len(fracs) == 0 || fracs[len(fracs)-1] != 1.0 {
-		t.Fatalf("fractions = %v, want final 1.0", fracs)
+	if len(calls) == 0 || calls[len(calls)-1].fraction != 1.0 || !calls[len(calls)-1].measuring {
+		t.Fatalf("calls = %+v, want a final measuring call at 1.0", calls)
 	}
 }
 
-// TestJobOnSampleAndOnStats checks the streaming hooks: every sampled row
-// tees through OnSample exactly as it lands in Result.Samples, and
-// OnStats snapshots are monotone in every counter with a final snapshot
-// matching the run's cumulative counts.
-func TestJobOnSampleAndOnStats(t *testing.T) {
-	var streamed [][]float64
-	var headers []string
+// TestJobOnChunkRowsAndCounters checks what OnChunk reads of the machine
+// as the daemon does. The sampler rows it copies out across chunks equal
+// Result.Samples row for row, so rows stream during the run and the
+// sampler never changes a row once made. The counter snapshots it takes
+// in the measurement window are monotone in every counter, and the final
+// one matches the run's cumulative counts.
+func TestJobOnChunkRowsAndCounters(t *testing.T) {
+	var rows [][]float64
+	var header []string
 	var snaps [][]stats.NameValue
+	batches := 0 // calls that saw new rows
 	j := Job{
 		Config:        config.Default(config.CMPDNUCA3D),
 		Benchmark:     "swim",
@@ -346,11 +371,21 @@ func TestJobOnSampleAndOnStats(t *testing.T) {
 		MeasureCycles: 8_000,
 		Seed:          3,
 		Instruments:   core.Instruments{SampleInterval: 500},
-		OnSample: func(header []string, row []float64) {
-			headers = header // stable slice; last assignment is fine
-			streamed = append(streamed, append([]float64(nil), row...))
+		OnChunk: func(sys *core.System, _ float64, measuring bool) {
+			if sm := sys.Sampler(); sm != nil {
+				ts := sm.Series()
+				if len(ts.Rows) > len(rows) {
+					batches++
+					header = append([]string(nil), ts.Header...)
+				}
+				for _, row := range ts.Rows[len(rows):] {
+					rows = append(rows, append([]float64(nil), row...))
+				}
+			}
+			if measuring {
+				snaps = append(snaps, sys.StatsRegistry().Snapshot())
+			}
 		},
-		OnStats: func(snap []stats.NameValue) { snaps = append(snaps, snap) },
 	}
 	r := Run([]Job{j}, 1)[0]
 	if r.Err != nil {
@@ -359,22 +394,25 @@ func TestJobOnSampleAndOnStats(t *testing.T) {
 	if r.Samples == nil {
 		t.Fatal("no samples despite SampleInterval")
 	}
-	if len(streamed) != len(r.Samples.Rows) {
-		t.Fatalf("streamed %d rows, series has %d", len(streamed), len(r.Samples.Rows))
+	if len(rows) != len(r.Samples.Rows) {
+		t.Fatalf("hook saw %d rows, series has %d", len(rows), len(r.Samples.Rows))
 	}
-	for i := range streamed {
+	for i := range rows {
 		for jx, v := range r.Samples.Rows[i] {
-			if streamed[i][jx] != v {
-				t.Fatalf("streamed row %d = %v != series row %v", i, streamed[i], r.Samples.Rows[i])
+			if rows[i][jx] != v {
+				t.Fatalf("row %d as first seen = %v != series row %v", i, rows[i], r.Samples.Rows[i])
 			}
 		}
 	}
-	if len(headers) != len(r.Samples.Header) {
-		t.Fatalf("streamed header %v != series header %v", headers, r.Samples.Header)
+	if len(header) != len(r.Samples.Header) || header[0] != "cycle" {
+		t.Fatalf("hook saw header %v, series header %v", header, r.Samples.Header)
+	}
+	if batches < 2 {
+		t.Fatalf("rows appeared in %d OnChunk calls; want them streamed across the window", batches)
 	}
 
 	if len(snaps) < 2 {
-		t.Fatalf("only %d stats snapshots; want one per measure chunk plus completion", len(snaps))
+		t.Fatalf("only %d counter snapshots; want one per measure chunk plus completion", len(snaps))
 	}
 	value := func(snap []stats.NameValue, name string) uint64 {
 		for _, nv := range snap {
@@ -385,13 +423,15 @@ func TestJobOnSampleAndOnStats(t *testing.T) {
 		t.Fatalf("counter %q missing from snapshot", name)
 		return 0
 	}
-	var prev uint64
+	prev := map[string]uint64{}
 	for i, snap := range snaps {
-		v := value(snap, "l2_accesses")
-		if v < prev {
-			t.Fatalf("snapshot %d l2_accesses = %d after %d: cumulative counters went backwards", i, v, prev)
+		for _, nv := range snap {
+			if nv.Value < prev[nv.Name] {
+				t.Fatalf("snapshot %d %s = %d after %d: cumulative counters went backwards",
+					i, nv.Name, nv.Value, prev[nv.Name])
+			}
+			prev[nv.Name] = nv.Value
 		}
-		prev = v
 	}
 	final := snaps[len(snaps)-1]
 	if got := value(final, "l2_accesses"); got != r.Results.L2Accesses {

@@ -28,6 +28,6 @@
 // bounded pool), which owns the simulator. Everything the HTTP handlers
 // read — completion fraction, sampled rows, counter snapshots, the final
 // marshaled Results — is published by that goroutine through the job
-// record's mutex, via the runner's Progress/OnSample/OnStats hooks and
-// stats.Set.Snapshot. Handlers never touch a live simulator.
+// record's mutex, from the runner's OnChunk hook, which runs between
+// engine chunks. Handlers never touch a live simulator.
 package serve

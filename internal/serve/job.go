@@ -39,13 +39,12 @@ type JobRequest struct {
 	NoSamples bool `json:"no_samples,omitempty"`
 
 	// DigestVerify, when true (and DigestInterval non-zero), makes the
-	// worker rerun the job without its hooks (progress, counters, sample
-	// rows, profiler) after the primary run and compare the two digest
-	// streams, publishing any mismatch as
-	// nimsim_job_digest_mismatch_cycle — a paid-for, on-demand audit
-	// that the hooked, profiled, chunked primary run matched a plain one
-	// (it roughly doubles the job's cost). It is NOT part of the job
-	// identity (it changes no Results byte), so the flag on the
+	// worker rerun the job without the daemon's hook and profiler after
+	// the primary run and compare the two digest streams, publishing any
+	// mismatch as nimsim_job_digest_mismatch_cycle — a paid-for,
+	// on-demand audit that the observed, profiled primary run matched a
+	// plain one (it roughly doubles the job's cost). It is NOT part of
+	// the job identity (it changes no Results byte), so the flag on the
 	// submission that first registers the job wins; coalesced and cached
 	// submissions inherit it.
 	DigestVerify bool `json:"digest_verify,omitempty"`
@@ -60,7 +59,7 @@ type JobRequest struct {
 }
 
 // buildJob normalizes a request into the runner job it describes, or
-// rejects it. The returned job carries no hooks; the worker adds them.
+// rejects it. The returned job carries no hook; the worker adds it.
 func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 	var cfg config.Config
 	if req.Config != nil {
@@ -132,7 +131,7 @@ type job struct {
 
 	id         string
 	configHash string     // config.CanonicalHash(run.Config), from run.Identity
-	run        runner.Job // hook-free template; the worker adds hooks
+	run        runner.Job // hook-free template; the worker adds OnChunk
 
 	// verify records the first submission's DigestVerify request; the
 	// worker acts on it after the primary run (see Server.runJob).
@@ -147,7 +146,7 @@ type job struct {
 	header   []string
 	rows     [][]float64
 	counters []stats.NameValue
-	profile  *prof.Snapshot // latest host-side phase snapshot, nil until first chunk
+	profile  *prof.Snapshot // latest host-side phase snapshot, nil until the first measurement chunk
 
 	digest        *digest.Report // final digest report, nil unless the job digested
 	verified      bool           // hook-free reference rerun completed and streams compared
@@ -178,40 +177,38 @@ func (rec *job) setState(state string) {
 	rec.mu.Unlock()
 }
 
-// setFraction is the runner Progress hook.
-func (rec *job) setFraction(f float64) {
-	rec.mu.Lock()
-	rec.fraction = f
-	rec.cond.Broadcast()
-	rec.mu.Unlock()
-}
-
-// setCounters is the runner OnStats hook; snap is already a self-owned
-// copy (stats.Set.Snapshot), so the record can retain it as-is.
-func (rec *job) setCounters(snap []stats.NameValue) {
-	rec.mu.Lock()
-	rec.counters = snap
-	rec.mu.Unlock()
-}
-
-// setProfile is the runner OnProfile hook: the latest host-side phase
-// snapshot. Snapshots are self-contained values, so the record just
-// swaps in the newest; /metrics reads the pointer under mu and never
-// mutates through it.
-func (rec *job) setProfile(snap prof.Snapshot) {
-	rec.mu.Lock()
-	rec.profile = &snap
-	rec.mu.Unlock()
-}
-
-// appendRow is the runner OnSample hook. The sampler owns its slices, so
-// the row is copied before publication; the header is copied once.
-func (rec *job) appendRow(header []string, row []float64) {
-	rec.mu.Lock()
-	if rec.header == nil {
-		rec.header = append([]string(nil), header...)
+// observe is the job's runner OnChunk hook. It publishes what the daemon
+// shows of a running job: the completion fraction, the sampler rows taken
+// since the last chunk and, in the measurement window, a counter snapshot
+// and a profiler snapshot. It runs on the worker goroutine between Run
+// calls, so it reads the machine without a lock. The sampler never changes
+// a row or its header once made and only appends rows, so the record
+// shares the sampler's slices instead of copying them; the counter and
+// profiler snapshots are values that share no memory with the machine.
+func (rec *job) observe(sys *core.System, fraction float64, measuring bool) {
+	var header []string
+	var rows [][]float64
+	if sm := sys.Sampler(); sm != nil {
+		ts := sm.Series()
+		header, rows = ts.Header, ts.Rows
 	}
-	rec.rows = append(rec.rows, append([]float64(nil), row...))
+	var counters []stats.NameValue
+	var profile *prof.Snapshot
+	if measuring {
+		counters = sys.StatsRegistry().Snapshot()
+		if p := sys.Profiler(); p != nil {
+			snap := p.Snap()
+			profile = &snap
+		}
+	}
+	rec.mu.Lock()
+	rec.fraction = fraction
+	if len(rows) > len(rec.rows) {
+		rec.header, rec.rows = header, rows
+	}
+	if measuring {
+		rec.counters, rec.profile = counters, profile
+	}
 	rec.cond.Broadcast()
 	rec.mu.Unlock()
 }

@@ -163,24 +163,20 @@ func (s *Server) worker() {
 }
 
 // runJob executes one registered job on this worker goroutine, publishing
-// progress, sampled rows, and counter snapshots into the record as the
-// simulation advances. The runner supplies panic/error capture; the
-// record never leaves a terminal state, so a cached entry is immutable.
+// progress, sampled rows, and counter and profiler snapshots into the
+// record after every chunk (job.observe). The runner supplies panic/error
+// capture; the record never leaves a terminal state, so a cached entry is
+// immutable.
 func (s *Server) runJob(rec *job) {
 	rec.setState(StateRunning)
 	j := rec.run
-	j.Progress = rec.setFraction
-	j.OnStats = rec.setCounters
+	j.OnChunk = rec.observe
 	// Every job runs with the host profiler attached. The profiler is
 	// provably non-perturbing (Results stay bit-identical, see
 	// internal/prof), so attaching it unconditionally adds per-phase
 	// wall-clock gauges to /metrics without touching the job identity —
 	// a profiled run's cache entry still answers any submission.
 	j.Profile = true
-	j.OnProfile = rec.setProfile
-	if j.SampleInterval > 0 {
-		j.OnSample = rec.appendRow
-	}
 	res := runner.Run([]runner.Job{j}, 1)[0]
 	if res.Err != nil {
 		s.m.failed.Add(1)
@@ -207,13 +203,12 @@ func (s *Server) runJob(rec *job) {
 }
 
 // verifyDigest is the DigestVerify rerun: the same job without the
-// primary run's hooks (progress, counters, sample rows, profiler), so it
-// runs unprofiled and in two long Run calls instead of chunks. Its digest
-// stream is compared against the primary run's; a mismatch names the
-// first divergent cycle and subsystem on the status API and /metrics —
-// the daemon catching an observer that perturbed the simulation in
-// production rather than in CI. A failed rerun leaves the job
-// unverified (the primary results stand).
+// primary run's hook and profiler. Its digest stream is compared against
+// the primary run's; a mismatch names the first divergent cycle and
+// subsystem on the status API and /metrics — the daemon catching an
+// observer that perturbed the simulation in production rather than in
+// CI. A failed rerun leaves the job unverified (the primary results
+// stand).
 func (s *Server) verifyDigest(rec *job, primary *digest.Report) {
 	if !rec.verify {
 		return

@@ -657,7 +657,9 @@ func TestBadRequests(t *testing.T) {
 	// more clusters than a probe mask holds. So is a machine whose CPUs
 	// do not fit its placement: eight stacked CPUs on two pillars of two
 	// layers. So is an unknown benchmark. Each would otherwise fail in a
-	// worker and stay in the registry as a cached failed job.
+	// worker and stay in the registry as a cached failed job. A negative
+	// override is refused by name too, instead of building the default
+	// machine and answering with the default job's cached results.
 	configBody := func(mutate func(*config.Config)) string {
 		cfg := config.Default(config.CMPDNUCA3D)
 		mutate(&cfg)
@@ -676,6 +678,9 @@ func TestBadRequests(t *testing.T) {
 		"Clusters":      configBody(func(c *config.Config) { c.L2.Clusters = 128 }),
 		"placement":     `{"scheme":"dnuca3d","pillars":2,"stack_cpus":true}`,
 		"nosuch":        `{"benchmark":"nosuch"}`,
+		"NumPillars":    `{"pillars":-1}`,
+		"Layers":        `{"layers":-2}`,
+		"L2 size":       `{"l2_mb":-16}`,
 	} {
 		if resp, out := post(t, ts.URL+"/jobs", body); resp.StatusCode != http.StatusBadRequest ||
 			!strings.Contains(string(out), field) {

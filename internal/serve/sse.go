@@ -19,9 +19,10 @@ import (
 //
 // A subscriber that connects mid-run first receives every row sampled so
 // far (the record retains them all), then follows live; connecting after
-// completion replays the full series and closes. No rows are ever
-// dropped: the stream reads the record's append-only row log by index,
-// sleeping on its condition variable between publications.
+// completion replays the full series and closes. Rows reach the record
+// in batches, after each of the runner's chunks (job.observe). No rows
+// are ever dropped: the stream reads the record's append-only row log by
+// index, sleeping on its condition variable between publications.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	rec := s.lookup(r.PathValue("id"))
 	if rec == nil {

@@ -41,7 +41,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/runner"
-	"repro/internal/serve"
 	"repro/internal/thermal"
 	"repro/internal/trace"
 )
@@ -401,29 +400,3 @@ type DivergeReport = runner.DivergeReport
 func Diverge(a, b SweepJob, interval uint64) (*DivergeReport, error) {
 	return runner.Diverge(a, b, interval)
 }
-
-// --- Serving (internal/serve) -------------------------------------------
-
-// Server is the simulation-as-a-service daemon: an HTTP/JSON job API over
-// a bounded worker pool, with live SSE metrics streams, Prometheus
-// /metrics, /healthz, and a result cache keyed by the canonical config
-// hash (identical submissions are O(1) cache hits; identical in-flight
-// submissions coalesce onto one run). See internal/serve for the endpoint
-// reference, `nimsim -serve` / cmd/nimsimd for the CLI entry points.
-type Server = serve.Server
-
-// ServerOptions configures a Server; the zero value serves on :8080.
-type ServerOptions = serve.Options
-
-// ServerJobRequest is the POST /jobs submission body.
-type ServerJobRequest = serve.JobRequest
-
-// NewServer builds a daemon and starts its worker pool; serve it with
-// Server.ListenAndServe (graceful drain on context cancel) or mount
-// Server.Handler yourself.
-func NewServer(opts ServerOptions) *Server { return serve.New(opts) }
-
-// CanonicalConfigHash returns the stable content hash identifying a
-// machine configuration — the result-cache key: the simulator is
-// deterministic, so (config, workload, seed) fully determines Results.
-func CanonicalConfigHash(c Config) string { return config.CanonicalHash(c) }

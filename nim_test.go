@@ -1,6 +1,8 @@
 package nim_test
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	nim "repro"
@@ -221,5 +223,17 @@ func TestMigrationThresholdSweepAPI(t *testing.T) {
 	if rs[0].Migrations < rs[1].Migrations {
 		t.Errorf("threshold 1 migrated %d, threshold 4 migrated %d",
 			rs[0].Migrations, rs[1].Migrations)
+	}
+}
+
+// TestDefaultMuxHasNoPprof: importing nim leaves http.DefaultServeMux
+// empty. net/http/pprof's init mounts /debug/pprof/ there, so a library
+// that linked it would expose the profiler on any default-mux server its
+// importer runs.
+func TestDefaultMuxHasNoPprof(t *testing.T) {
+	rec := httptest.NewRecorder()
+	http.DefaultServeMux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /debug/pprof/ on http.DefaultServeMux = %d, want 404", rec.Code)
 	}
 }

@@ -346,8 +346,8 @@ func TestThermalMapRequiresTracker(t *testing.T) {
 // contract is checked on: seed 3, 5k settle cycles, then 20k measured
 // cycles, with in requested before Start so the window instruments attach
 // at the stats reset. A non-zero chunk cuts the measured window into Run
-// calls of that many cycles, the way the runner executes a job with a
-// progress hook; tracer attaches a trace ring for the measured window.
+// calls of that many cycles, the way the runner executes every job;
+// tracer attaches a trace ring for the measured window.
 type instrumentedRun struct {
 	cfg    nim.Config
 	in     nim.Instruments

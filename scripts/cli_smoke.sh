@@ -38,6 +38,15 @@ check -bench nope
 check -l2 48
 check -replay missing.file
 check -dtm bogus
+# A trip temperature that is not a finite number, and negative machine
+# overrides, are refused by name instead of running a machine that can
+# never trip or the default machine.
+check -dtm all -trip NaN
+check -dtm all -trip Inf
+check -pillars -1
+check -layers -2
+check -l2 -16
+check -diverge pillars=-1
 # Zero observer periods, on the one-shot and the -diverge paths.
 check -metrics m.csv -interval 0
 check -thermal -tinterval 0
