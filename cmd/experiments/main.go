@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,7 +46,6 @@ func main() {
 		ablate   = flag.Bool("ablations", false, "run the design-choice ablations")
 		brkdown  = flag.Bool("breakdown", false, "run the L2 latency decomposition across the four schemes")
 		thermRun = flag.Bool("thermal", false, "run the transient thermal study across schemes and CPU placements")
-		profRun  = flag.Bool("profile", false, "run the host-side phase-dominance study (wall-clock, so host-dependent; excluded from -all)")
 		dtmRun   = flag.Bool("dtm", false, "run the dynamic-thermal-management policy matrix on the hot configurations")
 		table    = flag.Int("table", 0, "reproduce one table (1..5)")
 		figure   = flag.Int("figure", 0, "reproduce one figure (13..18)")
@@ -78,18 +78,12 @@ func main() {
 	}
 
 	secs := sections(sel, names, opt)
-	if len(secs) == 0 && !*profRun {
+	if len(secs) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if err := newPlan(secs).run(*parallel); err != nil {
 		fatal(err)
-	}
-	// Deliberately not part of -all: the numbers are wall-clock on this
-	// host, so including them would make -all's output machine-dependent.
-	// It runs alone, after the plan has drained, for the same reason.
-	if *profRun {
-		profileStudy(opt)
 	}
 }
 
@@ -363,29 +357,18 @@ func figures131415(names []string, opt nim.Options) section {
 			}
 			rows = append(rows, schemeRow{b, m})
 		}
+		migrating := slices.DeleteFunc(nim.Schemes(), func(s nim.Scheme) bool { return !s.Migrates() })
+		writeCSV("figure13_l2_hit_latency", schemeCSV(rows, schemes, func(r nim.Results) string { return f1(r.AvgL2HitLatency) }))
+		writeCSV("figure14_migrations", schemeCSV(rows, migrating, func(r nim.Results) string { return u(r.Migrations) }))
+		writeCSV("figure15_ipc", schemeCSV(rows, schemes, func(r nim.Results) string { return f1(r.IPC) }))
 
 		fmt.Println("\nFigure 13: average L2 hit latency (cycles)")
-		printSchemeTable(rows, func(r nim.Results) string { return fmt.Sprintf("%8.1f", r.AvgL2HitLatency) })
-		csvRows := [][]string{{"benchmark", "cmp-dnuca", "cmp-dnuca-2d", "cmp-snuca-3d", "cmp-dnuca-3d"}}
-		csvIPC := [][]string{{"benchmark", "cmp-dnuca", "cmp-dnuca-2d", "cmp-snuca-3d", "cmp-dnuca-3d"}}
-		csvMig := [][]string{{"benchmark", "cmp-dnuca", "cmp-dnuca-2d", "cmp-dnuca-3d"}}
-		for _, r := range rows {
-			csvRows = append(csvRows, []string{r.bench,
-				f1(r.results[nim.CMPDNUCA].AvgL2HitLatency), f1(r.results[nim.CMPDNUCA2D].AvgL2HitLatency),
-				f1(r.results[nim.CMPSNUCA3D].AvgL2HitLatency), f1(r.results[nim.CMPDNUCA3D].AvgL2HitLatency)})
-			csvIPC = append(csvIPC, []string{r.bench,
-				f1(r.results[nim.CMPDNUCA].IPC), f1(r.results[nim.CMPDNUCA2D].IPC),
-				f1(r.results[nim.CMPSNUCA3D].IPC), f1(r.results[nim.CMPDNUCA3D].IPC)})
-			csvMig = append(csvMig, []string{r.bench,
-				u(r.results[nim.CMPDNUCA].Migrations), u(r.results[nim.CMPDNUCA2D].Migrations),
-				u(r.results[nim.CMPDNUCA3D].Migrations)})
-		}
-		writeCSV("figure13_l2_hit_latency", csvRows)
-		writeCSV("figure14_migrations", csvMig)
-		writeCSV("figure15_ipc", csvIPC)
+		printSchemeTable(rows, schemes, func(res map[nim.Scheme]nim.Results, s nim.Scheme) string {
+			return fmt.Sprintf("%8.1f", res[s].AvgL2HitLatency)
+		})
 
 		fmt.Println("\nFigure 14: block migrations, normalized to CMP-DNUCA-2D")
-		printSchemeTableSel(rows, []nim.Scheme{nim.CMPDNUCA, nim.CMPDNUCA3D}, func(res map[nim.Scheme]nim.Results, s nim.Scheme) string {
+		printSchemeTable(rows, []nim.Scheme{nim.CMPDNUCA, nim.CMPDNUCA3D}, func(res map[nim.Scheme]nim.Results, s nim.Scheme) string {
 			base := float64(res[nim.CMPDNUCA2D].Migrations)
 			if base == 0 {
 				return fmt.Sprintf("%8s", "n/a")
@@ -394,19 +377,20 @@ func figures131415(names []string, opt nim.Options) section {
 		})
 
 		fmt.Println("\nFigure 15: IPC")
-		printSchemeTable(rows, func(r nim.Results) string { return fmt.Sprintf("%8.3f", r.IPC) })
+		printSchemeTable(rows, schemes, func(res map[nim.Scheme]nim.Results, s nim.Scheme) string {
+			return fmt.Sprintf("%8.3f", res[s].IPC)
+		})
 
 		// The abstract's headline numbers for this run.
 		var d2, s3, d3 float64
-		var n int
 		for _, r := range rows {
 			d2 += r.results[nim.CMPDNUCA2D].AvgL2HitLatency
 			s3 += r.results[nim.CMPSNUCA3D].AvgL2HitLatency
 			d3 += r.results[nim.CMPDNUCA3D].AvgL2HitLatency
-			n++
 		}
+		n := float64(len(rows))
 		fmt.Printf("\nAverages over %d benchmarks: DNUCA-2D %.1f, SNUCA-3D %.1f (-%.1f), DNUCA-3D %.1f (-%.1f more)\n",
-			n, d2/float64(n), s3/float64(n), (d2-s3)/float64(n), d3/float64(n), (s3-d3)/float64(n))
+			len(rows), d2/n, s3/n, (d2-s3)/n, d3/n, (s3-d3)/n)
 		fmt.Printf("(paper: SNUCA-3D ~10 cycles below DNUCA-2D; DNUCA-3D ~7 below SNUCA-3D)\n")
 	}}
 }
@@ -416,22 +400,9 @@ type schemeRow struct {
 	results map[nim.Scheme]nim.Results
 }
 
-func printSchemeTable(rows []schemeRow, cell func(nim.Results) string) {
-	fmt.Printf("%-10s", "")
-	for _, s := range nim.Schemes() {
-		fmt.Printf(" %14s", s)
-	}
-	fmt.Println()
-	for _, r := range rows {
-		fmt.Printf("%-10s", r.bench)
-		for _, s := range nim.Schemes() {
-			fmt.Printf(" %14s", cell(r.results[s]))
-		}
-		fmt.Println()
-	}
-}
-
-func printSchemeTableSel(rows []schemeRow, schemes []nim.Scheme, cell func(map[nim.Scheme]nim.Results, nim.Scheme) string) {
+// printSchemeTable prints one line per benchmark and one column per
+// scheme, each cell formatted from the benchmark's results.
+func printSchemeTable(rows []schemeRow, schemes []nim.Scheme, cell func(map[nim.Scheme]nim.Results, nim.Scheme) string) {
 	fmt.Printf("%-10s", "")
 	for _, s := range schemes {
 		fmt.Printf(" %14s", s)
@@ -444,6 +415,30 @@ func printSchemeTableSel(rows []schemeRow, schemes []nim.Scheme, cell func(map[n
 		}
 		fmt.Println()
 	}
+}
+
+// schemeHeader is a CSV header: first, then one lower-case column per
+// scheme ("cmp-dnuca-3d").
+func schemeHeader(first string, schemes []nim.Scheme) []string {
+	h := []string{first}
+	for _, s := range schemes {
+		h = append(h, strings.ToLower(s.String()))
+	}
+	return h
+}
+
+// schemeCSV is the CSV form of a scheme table: a benchmark column, then
+// one column per scheme.
+func schemeCSV(rows []schemeRow, schemes []nim.Scheme, cell func(nim.Results) string) [][]string {
+	out := [][]string{schemeHeader("benchmark", schemes)}
+	for _, r := range rows {
+		row := []string{r.bench}
+		for _, s := range schemes {
+			row = append(row, cell(r.results[s]))
+		}
+		out = append(out, row)
+	}
+	return out
 }
 
 // figure16Benches are the paper's four representative benchmarks: art and
@@ -482,65 +477,59 @@ func figure16(names []string, opt nim.Options) section {
 	}}
 }
 
-func figure17(names []string, opt nim.Options) section {
-	use := intersect(names, figure16Benches)
-	pillars := []int{8, 4, 2}
-	var jobs []nim.SweepJob
-	for _, b := range use {
-		for _, p := range pillars {
-			cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
-			cfg.NumPillars = p
-			jobs = append(jobs, nim.NewSweepJob(cfg, b, opt))
-		}
-	}
-	return section{jobs, func(res []nim.Results) {
-		header("Figure 17: impact of the number of pillars (CMP-DNUCA-3D)")
-		fmt.Printf("%-10s %10s %10s %10s\n", "Benchmark", "8 pillars", "4 pillars", "2 pillars")
-		csvRows := [][]string{{"benchmark", "pillars8", "pillars4", "pillars2"}}
-		for i, b := range use {
-			fmt.Printf("%-10s", b)
-			row := []string{b}
-			for j := range pillars {
-				r := res[i*len(pillars)+j]
-				fmt.Printf(" %9.1f", r.AvgL2HitLatency)
-				row = append(row, f1(r.AvgL2HitLatency))
-			}
-			fmt.Println()
-			csvRows = append(csvRows, row)
-		}
-		writeCSV("figure17_pillars", csvRows)
-		fmt.Println("(paper: moving from 8 to 2 pillars adds 1..7 cycles)")
-	}}
+// grid is Figure 17 or 18: one scheme's average L2 hit latency on the
+// representative benchmarks as one machine field takes each of a few
+// values.
+type grid struct {
+	figure int
+	scheme nim.Scheme
+	field  string // what the values count, in the plural
+	values []int
+	set    func(cfg *nim.Config, v int)
+	paper  string // the paper's finding, printed under the table
 }
 
-func figure18(names []string, opt nim.Options) section {
+var (
+	figure17 = grid{17, nim.CMPDNUCA3D, "pillars", []int{8, 4, 2},
+		func(cfg *nim.Config, v int) { cfg.NumPillars = v },
+		"moving from 8 to 2 pillars adds 1..7 cycles"}.section
+	figure18 = grid{18, nim.CMPSNUCA3D, "layers", []int{2, 4},
+		func(cfg *nim.Config, v int) { cfg.Layers = v },
+		"4 layers reduce L2 latency by 3..8 cycles over 2"}.section
+)
+
+func (g grid) section(names []string, opt nim.Options) section {
 	use := intersect(names, figure16Benches)
-	layers := []int{2, 4}
 	var jobs []nim.SweepJob
 	for _, b := range use {
-		for _, l := range layers {
-			cfg := nim.DefaultConfig(nim.CMPSNUCA3D)
-			cfg.Layers = l
+		for _, v := range g.values {
+			cfg := nim.DefaultConfig(g.scheme)
+			g.set(&cfg, v)
 			jobs = append(jobs, nim.NewSweepJob(cfg, b, opt))
 		}
 	}
 	return section{jobs, func(res []nim.Results) {
-		header("Figure 18: impact of the number of layers (CMP-SNUCA-3D)")
-		fmt.Printf("%-10s %10s %10s\n", "Benchmark", "2 layers", "4 layers")
-		csvRows := [][]string{{"benchmark", "layers2", "layers4"}}
+		header(fmt.Sprintf("Figure %d: impact of the number of %s (%s)", g.figure, g.field, g.scheme))
+		fmt.Printf("%-10s", "Benchmark")
+		csvRows := [][]string{{"benchmark"}}
+		for _, v := range g.values {
+			fmt.Printf(" %10s", fmt.Sprintf("%d %s", v, g.field))
+			csvRows[0] = append(csvRows[0], g.field+strconv.Itoa(v))
+		}
+		fmt.Println()
 		for i, b := range use {
 			fmt.Printf("%-10s", b)
 			row := []string{b}
-			for j := range layers {
-				r := res[i*len(layers)+j]
+			for j := range g.values {
+				r := res[i*len(g.values)+j]
 				fmt.Printf(" %9.1f", r.AvgL2HitLatency)
 				row = append(row, f1(r.AvgL2HitLatency))
 			}
 			fmt.Println()
 			csvRows = append(csvRows, row)
 		}
-		writeCSV("figure18_layers", csvRows)
-		fmt.Println("(paper: 4 layers reduce L2 latency by 3..8 cycles over 2)")
+		writeCSV(fmt.Sprintf("figure%d_%s", g.figure, g.field), csvRows)
+		fmt.Printf("(paper: %s)\n", g.paper)
 	}}
 }
 
@@ -675,7 +664,7 @@ func breakdowns(names []string, opt nim.Options) section {
 			}
 			fmt.Println()
 			comps, _ := pick(res[0].Breakdown)
-			csvRows := [][]string{{"component", "cmp-dnuca", "cmp-dnuca-2d", "cmp-snuca-3d", "cmp-dnuca-3d"}}
+			csvRows := [][]string{schemeHeader("component", schemes)}
 			for c := range comps {
 				if comps[c].Name == "l1" {
 					continue // pre-issue, identical everywhere, not in the total
@@ -718,6 +707,36 @@ func breakdowns(names []string, opt nim.Options) section {
 	}}
 }
 
+// A variant is one named machine of the thermal and DTM studies.
+type variant struct {
+	name string
+	cfg  nim.Config
+}
+
+// stackedVariant is CMP-DNUCA-3D with its CPUs stacked in vertical
+// columns: the hottest placement, in both studies.
+func stackedVariant() variant {
+	cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
+	cfg.StackCPUs = true
+	return variant{"dnuca-3d-stacked", cfg}
+}
+
+// thermalJob runs cfg on mgrid, the highest-traffic benchmark, with the
+// thermal loop stepping every 1000 cycles.
+func thermalJob(cfg nim.Config, opt nim.Options) nim.SweepJob {
+	j := nim.NewSweepJob(cfg, "mgrid", opt)
+	j.ThermalInterval = 1000
+	return j
+}
+
+// pctAbove is the share of a run's cycles spent above 85 C, in percent.
+func pctAbove(t *nim.ThermalReport) float64 {
+	if t.Cycles == 0 {
+		return 0
+	}
+	return 100 * float64(t.CyclesAboveThreshold) / float64(t.Cycles)
+}
+
 // thermalStudy runs the transient thermal pipeline across the four schemes
 // plus a vertically-stacked DNUCA-3D variant, all on mgrid (the highest-
 // traffic benchmark), and tabulates how the placements diverge dynamically:
@@ -725,24 +744,14 @@ func breakdowns(names []string, opt nim.Options) section {
 // from the offset placement even though both dissipate the same energy —
 // the transient counterpart of Table 3's steady-state gap.
 func thermalStudy(opt nim.Options) section {
-	type variant struct {
-		name string
-		cfg  nim.Config
+	var variants []variant
+	for _, s := range nim.Schemes() {
+		variants = append(variants, variant{strings.ToLower(s.String()), nim.DefaultConfig(s)})
 	}
-	stacked := nim.DefaultConfig(nim.CMPDNUCA3D)
-	stacked.StackCPUs = true
-	variants := []variant{
-		{"cmp-dnuca", nim.DefaultConfig(nim.CMPDNUCA)},
-		{"cmp-dnuca-2d", nim.DefaultConfig(nim.CMPDNUCA2D)},
-		{"cmp-snuca-3d", nim.DefaultConfig(nim.CMPSNUCA3D)},
-		{"cmp-dnuca-3d", nim.DefaultConfig(nim.CMPDNUCA3D)},
-		{"dnuca-3d-stacked", stacked},
-	}
+	variants = append(variants, stackedVariant())
 	jobs := make([]nim.SweepJob, len(variants))
 	for i, v := range variants {
-		j := nim.NewSweepJob(v.cfg, "mgrid", opt)
-		j.ThermalInterval = 1000
-		jobs[i] = j
+		jobs[i] = thermalJob(v.cfg, opt)
 	}
 	return section{jobs, func(res []nim.Results) {
 		header("Thermal: transient peak temperature under activity-driven power (mgrid)")
@@ -751,18 +760,10 @@ func thermalStudy(opt nim.Options) section {
 		csvRows := [][]string{{"variant", "peak_c", "peak_cycle", "final_peak_c", "final_mean_c", "gradient_c", "pct_above_85c", "avg_dyn_power_w"}}
 		for i, v := range variants {
 			t := res[i].Thermal
-			if t == nil {
-				fmt.Printf("%-18s %8s\n", v.name, "n/a")
-				continue
-			}
-			pctAbove := 0.0
-			if t.Cycles > 0 {
-				pctAbove = 100 * float64(t.CyclesAboveThreshold) / float64(t.Cycles)
-			}
 			fmt.Printf("%-18s %8.2f %10d %9.2f %9.2f %8.1f %8.2f\n",
-				v.name, t.PeakC, t.PeakCycle, t.FinalPeakC, t.GradientC, pctAbove, t.AvgPowerW)
+				v.name, t.PeakC, t.PeakCycle, t.FinalPeakC, t.GradientC, pctAbove(t), t.AvgPowerW)
 			csvRows = append(csvRows, []string{v.name, f1(t.PeakC), u(t.PeakCycle),
-				f1(t.FinalPeakC), f1(t.FinalMeanC), f1(t.GradientC), f1(pctAbove), f1(t.AvgPowerW)})
+				f1(t.FinalPeakC), f1(t.FinalMeanC), f1(t.GradientC), f1(pctAbove(t)), f1(t.AvgPowerW)})
 		}
 		writeCSV("thermal_transient", csvRows)
 		fmt.Println("(same workload, same charged energy: the stacked placement's peak runs away\n from the offset placement's — Table 3's steady-state gap, reproduced dynamically)")
@@ -780,16 +781,7 @@ func thermalStudy(opt nim.Options) section {
 // background and the traffic pattern, so their thermal effect is small —
 // they are documented as latency/energy levers, not peak-temperature ones.
 func dtmStudy(opt nim.Options) section {
-	type variant struct {
-		name string
-		cfg  nim.Config
-	}
-	stacked := nim.DefaultConfig(nim.CMPDNUCA3D)
-	stacked.StackCPUs = true
-	variants := []variant{
-		{"cmp-dnuca-3d", nim.DefaultConfig(nim.CMPDNUCA3D)},
-		{"dnuca-3d-stacked", stacked},
-	}
+	variants := []variant{{"cmp-dnuca-3d", nim.DefaultConfig(nim.CMPDNUCA3D)}, stackedVariant()}
 	policies := []string{"off", "veto", "drowsy", "duty", "reroute", "all"}
 
 	var jobs []nim.SweepJob
@@ -799,9 +791,7 @@ func dtmStudy(opt nim.Options) section {
 			if pol != "off" {
 				cfg.DTMPolicy = pol
 			}
-			j := nim.NewSweepJob(cfg, "mgrid", opt)
-			j.ThermalInterval = 1000
-			jobs = append(jobs, j)
+			jobs = append(jobs, thermalJob(cfg, opt))
 		}
 	}
 	return section{jobs, func(res []nim.Results) {
@@ -811,21 +801,10 @@ func dtmStudy(opt nim.Options) section {
 		csvRows := [][]string{{"variant", "policy", "peak_c", "delta_peak_c", "pct_above_85c",
 			"avg_hit_lat", "ipc", "migration_vetoes", "bank_wakeups", "throttle_stalls", "pillar_diversions"}}
 		for vi, v := range variants {
-			basePeak := 0.0
+			basePeak := res[vi*len(policies)].Thermal.PeakC // the unmanaged run
 			for pi, pol := range policies {
 				r := res[vi*len(policies)+pi]
 				t := r.Thermal
-				if t == nil {
-					fmt.Printf("%-18s %-8s %8s\n", v.name, pol, "n/a")
-					continue
-				}
-				if pol == "off" {
-					basePeak = t.PeakC
-				}
-				pctAbove := 0.0
-				if t.Cycles > 0 {
-					pctAbove = 100 * float64(t.CyclesAboveThreshold) / float64(t.Cycles)
-				}
 				var vetoes, wakeups, stalls, diverts uint64
 				if d := r.DTM; d != nil {
 					vetoes, wakeups, stalls, diverts = d.MigrationVetoes, d.BankWakeups, d.ThrottleStalls, d.PillarDiversions
@@ -835,75 +814,15 @@ func dtmStudy(opt nim.Options) section {
 					name = v.name
 				}
 				fmt.Printf("%-18s %-8s %8.2f %8.2f %8.1f %9.1f %7.3f %8d %8d %8d %8d\n",
-					name, pol, t.PeakC, t.PeakC-basePeak, pctAbove,
+					name, pol, t.PeakC, t.PeakC-basePeak, pctAbove(t),
 					r.AvgL2HitLatency, r.IPC, vetoes, wakeups, stalls, diverts)
 				csvRows = append(csvRows, []string{v.name, pol, f1(t.PeakC), f1(t.PeakC - basePeak),
-					f1(pctAbove), f1(r.AvgL2HitLatency), f1(r.IPC), u(vetoes), u(wakeups), u(stalls), u(diverts)})
+					f1(pctAbove(t)), f1(r.AvgL2HitLatency), f1(r.IPC), u(vetoes), u(wakeups), u(stalls), u(diverts)})
 			}
 		}
 		writeCSV("dtm_matrix", csvRows)
 		fmt.Println("(duty-cycling sheds the cores' 8 W budgets and is the policy that cuts the\n peak; veto/drowsy/reroute buy latency headroom and leakage, not degrees)")
 	}}
-}
-
-// profileStudy asks where the host's wall-clock goes: it runs mgrid on
-// CMP-DNUCA-3D — the default offset placement and the CPU-stacked
-// four-layer machine — with the host profiler attached and tabulates
-// per-phase shares of loop time. The numbers are wall-clock on this host;
-// the profiler observes the simulator, not the chip, so the simulated
-// Results are those of an unprofiled run. The two runs take turns on one
-// worker, so neither one's wall-clock shares carry the other's load.
-func profileStudy(opt nim.Options) {
-	header("Host profile: phase dominance (mgrid, CMP-DNUCA-3D)")
-	stacked := nim.DefaultConfig(nim.CMPDNUCA3D)
-	stacked.Layers = 4
-	stacked.StackCPUs = true
-	modes := []struct {
-		name string
-		cfg  nim.Config
-	}{
-		{"offset", nim.DefaultConfig(nim.CMPDNUCA3D)},
-		{"stacked", stacked},
-	}
-	jobs := make([]nim.SweepJob, len(modes))
-	for i, m := range modes {
-		jobs[i] = nim.NewSweepJob(m.cfg, "mgrid", opt)
-		jobs[i].Profile = true
-	}
-	rs := nim.RunSweep(jobs, 1, nil)
-	if err := nim.SweepError(rs); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%-18s %8s %6s %7s %6s %7s %6s\n",
-		"", "Mcyc/s", "cpu%", "proto%", "net%", "engine%", "rest%")
-	csvRows := [][]string{{"mode", "mcycles_per_sec", "cpu_share", "protocol_share",
-		"net_share", "engine_share", "rest_share"}}
-	for i, m := range modes {
-		r := rs[i].Results
-		share := func(names ...string) float64 {
-			var sum float64
-			for _, ph := range r.Profile.Phases {
-				for _, n := range names {
-					if ph.Phase == n {
-						sum += ph.Share
-					}
-				}
-			}
-			return sum
-		}
-		cpu := share("cpu")
-		proto := share("protocol")
-		net := share("net-serial")
-		engine := share("engine")
-		rest := share("thermal", "sampler", "other")
-		fmt.Printf("%-18s %8.2f %5.1f%% %6.1f%% %5.1f%% %6.1f%% %5.1f%%\n",
-			m.name, r.Profile.CyclesPerSec/1e6,
-			100*cpu, 100*proto, 100*net, 100*engine, 100*rest)
-		csvRows = append(csvRows, []string{m.name,
-			f1(r.Profile.CyclesPerSec / 1e6), f1(cpu), f1(proto), f1(net), f1(engine), f1(rest)})
-	}
-	writeCSV("profile_phases", csvRows)
-	fmt.Println("(shares are fractions of Engine.Run wall time and sum to ~100%)")
 }
 
 func intersect(names, allowed []string) []string {

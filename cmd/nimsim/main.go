@@ -9,21 +9,18 @@
 //	nimsim -scheme dnuca3d -bench art -pillars 2
 //	nimsim -scheme dnuca3d -bench mgrid -trace trace.json -metrics m.csv
 //	nimsim -scheme dnuca3d -bench mgrid -breakdown -spans spans.json
-//	nimsim -serve :8080    # simulation-as-a-service daemon (see cmd/nimsimd)
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
-	"syscall"
 
 	nim "repro"
 	"repro/internal/config"
@@ -57,7 +54,6 @@ func main() {
 		diverge  = flag.String("diverge", "", "run a variant of this configuration side by side (comma-separated k=v overrides: scheme, bench, seed, layers, pillars, l2, stack, dtm, trip, duty) and bisect the digest streams to the first divergent cycle and subsystem")
 		version  = flag.Bool("version", false, "print build and host provenance, then exit")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		srvAddr  = flag.String("serve", "", "run as the telemetry daemon on this address instead of a one-shot simulation (POST /jobs, SSE streams, /metrics, /healthz)")
 	)
 	flag.Parse()
 
@@ -68,10 +64,6 @@ func main() {
 		fmt.Printf("  go        %s\n", runtime.Version())
 		fmt.Printf("  platform  %s/%s\n", runtime.GOOS, runtime.GOARCH)
 		fmt.Printf("  cpus      %d (GOMAXPROCS %d)\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
-		return
-	}
-	if *srvAddr != "" {
-		runDaemon(*srvAddr, *pprof, *interval)
 		return
 	}
 	if *pprof != "" {
@@ -87,17 +79,19 @@ func main() {
 
 	// Zero periods would reach the observers' constructors, which panic;
 	// -digest 0 means off and -interval is only read with -metrics.
-	wantThermal := *thermal || *tmap || opts.DTMPolicy != ""
 	switch {
 	case *metrics != "" && *interval == 0:
 		fatalf("-interval must be >= 1")
-	case wantThermal && *tinter == 0:
-		fatalf("-tinterval must be >= 1")
 	case (*traceOut != "" || *spansOut != "") && *traceBuf < 1:
 		fatalf("-tracebuf must be >= 1")
 	}
 
 	cfg, err := opts.Build(opts.scheme)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	wantThermal := *thermal || *tmap
+	tinterval, err := thermalInterval(cfg, wantThermal, *tinter)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -113,7 +107,7 @@ func main() {
 				fatalf("-%s cannot be used with -diverge", f.Name)
 			}
 		})
-		runDiverge(opts, *diverge, *warm, *measure, *tinter, *thermal, *digestIv, *asJSON)
+		runDiverge(opts, *diverge, *warm, *measure, *tinter, wantThermal, *digestIv, *asJSON)
 		return
 	}
 
@@ -134,9 +128,7 @@ func main() {
 	if *metrics != "" {
 		in.SampleInterval = *interval
 	}
-	if wantThermal {
-		in.ThermalInterval = *tinter
-	}
+	in.ThermalInterval = tinterval
 	if err := sim.Instrument(in); err != nil {
 		fatalf("%v", err)
 	}
@@ -334,7 +326,7 @@ func (o *machineOpts) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.Pillars, "pillars", o.Pillars, "override pillar count")
 	fs.IntVar(&o.L2MB, "l2", o.L2MB, "override L2 size in MB (16, 32, 64)")
 	fs.BoolVar(&o.StackCPUs, "stack", o.StackCPUs, "force vertical CPU stacking")
-	fs.StringVar(&o.DTMPolicy, "dtm", o.DTMPolicy, "dynamic thermal management policy: none (or off), all, or a comma list of veto, drowsy, duty, reroute (implies -thermal)")
+	fs.StringVar(&o.DTMPolicy, "dtm", o.DTMPolicy, "dynamic thermal management policy: none (or off), all, or a comma list of veto, drowsy, duty, reroute (a policy that names an actuator implies -thermal)")
 	fs.Float64Var(&o.TripTempC, "trip", o.TripTempC, "DTM trip temperature in C (0 = the 85 C default)")
 	fs.StringVar(&o.DutyCycle, "duty", o.DutyCycle, "DTM duty-cycle pattern N/M: a hot core issues on N of every M slots (default 1/4)")
 }
@@ -372,8 +364,8 @@ func runDiverge(base machineOpts, spec string,
 			MeasureCycles: measure,
 			Seed:          o.seed,
 		}
-		if wantThermal || cfg.DTMActive() {
-			j.ThermalInterval = tinter
+		if j.ThermalInterval, err = thermalInterval(cfg, wantThermal, tinter); err != nil {
+			fatalf("-diverge: %v", err)
 		}
 		return j
 	}
@@ -409,6 +401,19 @@ func runDiverge(base machineOpts, spec string,
 	}
 }
 
+// thermalInterval is the thermal step period of a run on cfg: tinter when
+// the thermal report was asked for or a DTM actuator rides the thermal
+// loop, else 0. A policy that names no actuator, such as "off", is none.
+func thermalInterval(cfg nim.Config, asked bool, tinter uint64) (uint64, error) {
+	if !asked && !cfg.DTMActive() {
+		return 0, nil
+	}
+	if tinter == 0 {
+		return 0, errors.New("-tinterval must be >= 1")
+	}
+	return tinter, nil
+}
+
 // writeHostTimeline dumps the profiler's rolling run-window series as a
 // Perfetto host timeline (host microseconds on the x axis, unlike the
 // -trace export's simulated cycles).
@@ -422,31 +427,6 @@ func writeHostTimeline(path string, rec *nim.ProfileRecorder) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runDaemon runs the simulation-as-a-service mode (`nimsim -serve`).
-// When -pprof names the same address as -serve, both share one listener
-// deliberately: the profiler mounts on the daemon's own mux. A different
-// -pprof address gets its own listener with a dedicated pprof-only mux.
-func runDaemon(addr, pprofAddr string, sampleInterval uint64) {
-	if pprofAddr != "" && pprofAddr != addr {
-		go func() {
-			if err := http.ListenAndServe(pprofAddr, serve.PprofMux()); err != nil {
-				fmt.Fprintf(os.Stderr, "nimsim: pprof: %v\n", err)
-			}
-		}()
-	}
-	srv := serve.New(serve.Options{
-		Addr:                  addr,
-		DefaultSampleInterval: sampleInterval,
-		EnablePprof:           pprofAddr == addr && pprofAddr != "",
-	})
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Fprintf(os.Stderr, "nimsim: serving on %s (POST /jobs, /metrics, /healthz)\n", addr)
-	if err := srv.ListenAndServe(ctx); err != nil {
-		fatalf("%v", err)
-	}
 }
 
 // buildSimulation constructs (and warms) the requested machine: a single

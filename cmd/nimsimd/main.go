@@ -1,9 +1,9 @@
-// Command nimsimd is the simulation-as-a-service daemon: the thin wrapper
-// over the same serving core as `nimsim -serve`. It accepts config
+// Command nimsimd is the simulation-as-a-service daemon. It accepts config
 // submissions over HTTP/JSON, executes them on a bounded worker pool, and
 // exposes live SSE metrics streams, Prometheus metrics, and health:
 //
 //	nimsimd -addr :8080
+//	nimsimd -addr :8080 -pprof localhost:6060   # profiler on its own listener
 //	curl -X POST localhost:8080/jobs -d '{"scheme":"dnuca3d","benchmark":"mgrid"}'
 //	curl localhost:8080/jobs/<id>
 //	curl -N localhost:8080/jobs/<id>/stream
@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -29,22 +30,32 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", 0, "queued-job bound before 503 backpressure (0 = 64)")
-		interval = flag.Uint64("interval", 1_000, "default metrics sampling period in cycles")
-		pprof    = flag.Bool("pprof", false, "also serve /debug/pprof/ on the same listener")
-		drain    = flag.Duration("drain", 10*time.Second, "shutdown grace for open connections")
+		addr    = flag.String("addr", ":8080", "listen address")
+		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		queue   = flag.Int("queue", 0, "queued-job bound before 503 backpressure (0 = 64)")
+		pprof   = flag.String("pprof", "", "serve net/http/pprof on a listener of its own at this address (not -addr)")
+		drain   = flag.Duration("drain", 10*time.Second, "shutdown grace for open connections")
 	)
 	flag.Parse()
 
+	// The profiler gets a listener and a pprof-only mux of its own; the job
+	// API's mux never carries it.
+	if *pprof != "" && *pprof == *addr {
+		fmt.Fprintln(os.Stderr, "nimsimd: -pprof must name an address other than -addr")
+		os.Exit(2)
+	}
+	if *pprof != "" {
+		go func() {
+			if err := http.ListenAndServe(*pprof, serve.PprofMux()); err != nil {
+				fmt.Fprintf(os.Stderr, "nimsimd: pprof: %v\n", err)
+			}
+		}()
+	}
 	srv := serve.New(serve.Options{
-		Addr:                  *addr,
-		Workers:               *workers,
-		QueueDepth:            *queue,
-		DefaultSampleInterval: *interval,
-		EnablePprof:           *pprof,
-		DrainTimeout:          *drain,
+		Addr:         *addr,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		DrainTimeout: *drain,
 	})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -62,15 +62,12 @@ type Instruments struct {
 //
 // Instrument attaches nothing and returns an error when the request
 // cannot be honoured: a managed machine with no thermal interval
-// requested or attached (DTM rides the thermal loop), DTM strings that
-// do not parse (CheckDTM), or thermal or digests requested once a
-// sampler is attached or pending, which would lose the sampler's
-// columns.
+// requested or attached, or with DTM strings that do not parse
+// (CheckDTM), or thermal or digests requested once a sampler is attached
+// or pending, which would lose the sampler's columns.
 func (s *System) Instrument(in Instruments) error {
-	if s.Cfg.DTMActive() && in.ThermalInterval == 0 && s.thermalT == nil && s.pending.ThermalInterval == 0 {
-		return fmt.Errorf("core: DTMPolicy %q needs a thermal interval (DTM rides the thermal loop)", s.Cfg.DTMPolicy)
-	}
-	if err := CheckDTM(s.Cfg); err != nil {
+	thermal := in.ThermalInterval > 0 || s.thermalT != nil || s.pending.ThermalInterval > 0
+	if err := CheckDTM(s.Cfg, thermal); err != nil {
 		return err
 	}
 	if (in.ThermalInterval > 0 || in.DigestInterval > 0) && (s.sampler != nil || s.pending.SampleInterval > 0) {
@@ -107,14 +104,17 @@ func (s *System) attachWindow(in Instruments) {
 	}
 }
 
-// CheckDTM reports whether a managed config's DTM strings parse: the
-// policy (dtm.ParsePolicy) and the duty cycle (dtm.ParseDuty). An
-// unmanaged config passes, since nothing reads them. Instrument runs it
-// before attaching anything, so ResetStats never fails, and the daemon
-// runs it at submission, so a bad job is refused instead of queued.
-func CheckDTM(cfg config.Config) error {
+// CheckDTM reports why a managed config's DTM could not run: it has no
+// thermal loop to ride (thermal is false), or its policy (dtm.ParsePolicy)
+// or duty cycle (dtm.ParseDuty) does not parse. An unmanaged config
+// passes. Instrument runs it before attaching anything, so ResetStats
+// never fails, and runner.Job.Validate before a job starts.
+func CheckDTM(cfg config.Config, thermal bool) error {
 	if !cfg.DTMActive() {
 		return nil
+	}
+	if !thermal {
+		return fmt.Errorf("core: DTMPolicy %q needs a thermal interval (DTM rides the thermal loop)", cfg.DTMPolicy)
 	}
 	if _, err := dtm.ParsePolicy(cfg.DTMPolicy); err != nil {
 		return err

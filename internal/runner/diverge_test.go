@@ -125,7 +125,8 @@ func TestDivergeValidatesFirst(t *testing.T) {
 	for name, mutate := range map[string]func(*Job){
 		"benchmark": func(b *Job) { b.Benchmark = "nope" },
 		"NumCPUs":   func(b *Job) { b.Config.NumCPUs = 0 },
-		"duty":      func(b *Job) { b.Config.DTMPolicy, b.Config.DutyCycle = "duty", "9/4" },
+		"duty":      func(b *Job) { b.Config.DTMPolicy, b.Config.DutyCycle, b.ThermalInterval = "duty", "9/4", 1_000 },
+		"thermal":   func(b *Job) { b.Config.DTMPolicy = "all" },
 	} {
 		b := divergeBase()
 		mutate(&b)

@@ -88,8 +88,8 @@ func (j Job) Identity() (id, configHash string) {
 
 // Validate reports, before anything runs, why the job could not run: a
 // machine that cannot be built (config.NewTopology validates the config
-// and places every CPU), an unknown benchmark, or DTM strings that do
-// not parse.
+// and places every CPU), an unknown benchmark, or DTM that cannot run
+// (core.CheckDTM: no thermal interval, or strings that do not parse).
 func (j Job) Validate() error {
 	if _, err := config.NewTopology(j.Config); err != nil {
 		return err
@@ -97,7 +97,7 @@ func (j Job) Validate() error {
 	if _, ok := trace.ProfileByName(j.Benchmark, j.Config.NumCPUs); !ok {
 		return fmt.Errorf("unknown benchmark %q", j.Benchmark)
 	}
-	return core.CheckDTM(j.Config)
+	return core.CheckDTM(j.Config, j.ThermalInterval > 0)
 }
 
 // Result pairs a Job with its outcome. Exactly one of Results/Err is

@@ -22,7 +22,6 @@
 //	GET  /jobs/{id}/stream live SSE feed of the job's sampled metrics rows
 //	GET  /metrics          Prometheus text format: daemon + per-job counters
 //	GET  /healthz          liveness/readiness (503 while draining)
-//	/debug/pprof/*         optional, only when Options.EnablePprof is set
 //
 // Concurrency model: each job runs on exactly one worker goroutine (the
 // bounded pool), which owns the simulator. Everything the HTTP handlers

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"sync"
 	"time"
@@ -29,7 +30,7 @@ type JobRequest struct {
 	// Instruments selects the job's observers (sample_interval,
 	// thermal_interval, digest_interval, record_spans; see
 	// core.Instruments), and all of them are part of the job identity. A
-	// zero sample_interval selects the server's default, so every job is
+	// zero sample_interval samples every 1000 cycles, so every job is
 	// streamable by default; set NoSamples to run without a sampler at
 	// all (no live stream). A managed machine (dtm_policy) with no
 	// thermal_interval steps its thermal loop at the sampling period. A
@@ -57,6 +58,10 @@ type JobRequest struct {
 	// takes the place of Scheme and the overrides.
 	Config *config.Config `json:"config,omitempty"`
 }
+
+// defaultSampleInterval is the sampling period, in cycles, of a job that
+// chooses none: sampling makes /stream live, so every job streams.
+const defaultSampleInterval = 1000
 
 // buildJob normalizes a request into the runner job it describes, or
 // rejects it. The returned job carries no hook; the worker adds it.
@@ -95,15 +100,12 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 	case req.NoSamples:
 		j.SampleInterval = 0
 	case j.SampleInterval == 0:
-		j.SampleInterval = s.opts.DefaultSampleInterval
+		j.SampleInterval = defaultSampleInterval
 	}
 	if j.Config.DTMActive() && j.ThermalInterval == 0 {
 		// DTM needs the thermal loop; default its step to the sampling
 		// period (or the sampler default) instead of failing the job.
-		j.ThermalInterval = j.SampleInterval
-		if j.ThermalInterval == 0 {
-			j.ThermalInterval = s.opts.DefaultSampleInterval
-		}
+		j.ThermalInterval = cmp.Or(j.SampleInterval, defaultSampleInterval)
 	}
 	// A job that cannot run is refused here, instead of failing in a
 	// worker and staying in the registry as a cached failed job.

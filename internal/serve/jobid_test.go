@@ -56,7 +56,7 @@ func TestJobIdentityDefaultsVsExplicit(t *testing.T) {
 		WarmCycles:    &warm,
 		MeasureCycles: &measure,
 	}
-	explicit.SampleInterval = s.opts.DefaultSampleInterval
+	explicit.SampleInterval = defaultSampleInterval
 	implicit := JobRequest{} // every field defaulted
 
 	ja, err := s.buildJob(explicit)

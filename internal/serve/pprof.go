@@ -5,26 +5,18 @@ import (
 	"net/http/pprof"
 )
 
-// RegisterPprof mounts the net/http/pprof handlers on mux under
-// /debug/pprof/, explicitly — the package's blank-import side effect
-// registers on http.DefaultServeMux, which no server here uses. Keeping
-// registration explicit means a mux exposes the profiler only when its
-// owner asked for it: the serve daemon's API mux stays profiler-free
-// unless Options.EnablePprof is set, and `nimsim -pprof` gets a dedicated
-// mux instead of whatever else leaked into the default one.
-func RegisterPprof(mux *http.ServeMux) {
+// PprofMux returns a fresh mux serving only the net/http/pprof handlers
+// under /debug/pprof/ — the profiling listener of `nimsim -pprof <addr>`
+// and `nimsimd -pprof <addr>`. Registration is explicit: the package's
+// blank-import side effect registers on http.DefaultServeMux, which no
+// server here uses, so the profiler is reachable only on a listener whose
+// owner asked for it, never on the job API's mux.
+func PprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// PprofMux returns a fresh mux serving only the pprof handlers — the
-// standalone profiling listener for `nimsim -pprof <addr>` when no job
-// API shares the address.
-func PprofMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	RegisterPprof(mux)
 	return mux
 }

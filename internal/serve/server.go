@@ -17,7 +17,7 @@ import (
 )
 
 // Options configures a Server. The zero value serves on :8080 with
-// GOMAXPROCS workers, a 64-deep queue, and 1000-cycle default sampling.
+// GOMAXPROCS workers and a 64-deep queue.
 type Options struct {
 	// Addr is the listen address for ListenAndServe (":8080" default).
 	Addr string
@@ -27,14 +27,6 @@ type Options struct {
 	// QueueDepth bounds jobs accepted but not yet running; a full queue
 	// rejects new submissions with 503 (backpressure). <= 0 selects 64.
 	QueueDepth int
-	// DefaultSampleInterval is the metrics sampling period (cycles) for
-	// jobs that do not choose one; 0 selects 1000. Sampling is what makes
-	// a job's /stream live, so the default keeps every job streamable.
-	DefaultSampleInterval uint64
-	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
-	// server's own mux — the deliberate way to share one listener between
-	// the job API and the profiler (see PprofMux for a dedicated one).
-	EnablePprof bool
 	// DrainTimeout bounds how long ListenAndServe waits for open HTTP
 	// connections (e.g. SSE streams) after shutdown begins; 0 selects 10s.
 	// In-flight simulations are always run to completion regardless.
@@ -50,9 +42,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
-	}
-	if o.DefaultSampleInterval == 0 {
-		o.DefaultSampleInterval = 1000
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 10 * time.Second
@@ -98,9 +87,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /jobs/{id}/stream", s.handleStream)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if s.opts.EnablePprof {
-		RegisterPprof(s.mux)
-	}
 	s.wg.Add(s.opts.Workers)
 	for i := 0; i < s.opts.Workers; i++ {
 		go s.worker()

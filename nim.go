@@ -329,23 +329,6 @@ func (s *Simulation) WriteThermalMap(w io.Writer) error {
 	return s.sys.WriteThermalMap(w)
 }
 
-// DTMPolicy is a composable bitmask of DTM actuators; parse flag values
-// with ParseDTMPolicy.
-type DTMPolicy = dtm.Policy
-
-// The DTM actuators (compose with |, or use DTMAll).
-const (
-	DTMMigrationVeto = dtm.PolicyMigrationVeto
-	DTMDrowsy        = dtm.PolicyDrowsy
-	DTMDutyCycle     = dtm.PolicyDutyCycle
-	DTMReroute       = dtm.PolicyReroute
-	DTMAll           = dtm.PolicyAll
-)
-
-// ParseDTMPolicy parses a policy specification: "", "none" or "off",
-// "all", or a comma-separated subset of veto, drowsy, duty, reroute.
-func ParseDTMPolicy(s string) (DTMPolicy, error) { return dtm.ParsePolicy(s) }
-
 // DTMReport is the run-level dynamic-thermal-management summary appearing
 // in Results.DTM when a DTM controller is attached: trip engagements,
 // per-actuator counts (migration vetoes, drowsy-bank wakeups, duty-cycle

@@ -64,6 +64,7 @@ check -diverge pillars=2,stack=true
 # the machine flags' names.
 check -diverge bench=nope
 check -diverge foo=1
+check -diverge dtm=all -tinterval 0
 # -diverge runs two plain jobs, so flags it cannot honour are refused, not
 # dropped.
 check -diverge seed=2 -mix art,mgrid

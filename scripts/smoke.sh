@@ -7,7 +7,10 @@
 # ?wait=1 completion, the hit and GET /jobs/{id} — must hold the same
 # "results" member byte for byte, and the completion and the hit may
 # differ only in their "submits" line. Last, a job with an unknown
-# benchmark must be refused with 400 and registered nowhere. Exercises
+# benchmark must be refused with 400 and registered nowhere. The daemon
+# runs with -pprof on the next port: the profiler must answer there and
+# not on the job API's port, and a -pprof equal to -addr must be refused
+# with exit 2 before anything listens. Exercises
 # the full binary + listener path that the in-process httptest suite
 # cannot. The binary and every response land in one temporary directory,
 # removed on exit, so concurrent runs do not share files.
@@ -18,6 +21,7 @@ cd "$(dirname "$0")/.."
 
 PORT="${1:-18080}"
 ADDR="127.0.0.1:${PORT}"
+PPROF="127.0.0.1:$((PORT + 1))"
 BODY='{"scheme":"dnuca3d","benchmark":"mgrid","warm_cycles":1000,"measure_cycles":5000,"sample_interval":500,"digest_interval":500}'
 
 OUT=$(mktemp -d)
@@ -26,7 +30,14 @@ trap 'kill "$DAEMON" 2>/dev/null || true; rm -rf "$OUT"' EXIT
 
 echo "smoke: building nimsimd"
 go build -o "$OUT/nimsimd" ./cmd/nimsimd
-"$OUT/nimsimd" -addr "$ADDR" -workers 1 &
+
+echo "smoke: -pprof equal to -addr must be refused"
+RC=0
+timeout 10 "$OUT/nimsimd" -addr "$ADDR" -pprof "$ADDR" 2>/dev/null || RC=$?
+[ "$RC" = 2 ] || {
+  echo "smoke: nimsimd -addr $ADDR -pprof $ADDR exited $RC, want 2" >&2; exit 1; }
+
+"$OUT/nimsimd" -addr "$ADDR" -pprof "$PPROF" -workers 1 &
 DAEMON=$!
 
 echo "smoke: waiting for /healthz on $ADDR"
@@ -36,25 +47,35 @@ for i in $(seq 1 50); do
   sleep 0.1
 done
 
+echo "smoke: checking /debug/pprof/ on $PPROF and not on $ADDR"
+for i in $(seq 1 50); do
+  if curl -fsS -o /dev/null "http://$PPROF/debug/pprof/" 2>/dev/null; then break; fi
+  if [ "$i" -eq 50 ]; then echo "smoke: pprof never answered on $PPROF" >&2; exit 1; fi
+  sleep 0.1
+done
+CODE=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ADDR/debug/pprof/")
+[ "$CODE" = 404 ] || {
+  echo "smoke: /debug/pprof/ on the API port answered $CODE, want 404" >&2; exit 1; }
+
 echo "smoke: submitting tiny job (?wait=1)"
 curl -fsS -o "$OUT/miss.json" -X POST "http://$ADDR/jobs?wait=1" -d "$BODY"
 FIRST=$(cat "$OUT/miss.json")
-echo "$FIRST" | grep -q '"state": *"done"' || {
+grep -q '"state": *"done"' <<<"$FIRST" || {
   echo "smoke: job did not reach done: $FIRST" >&2; exit 1; }
-echo "$FIRST" | grep -q '"results": *{' || {
+grep -q '"results": *{' <<<"$FIRST" || {
   echo "smoke: done job carried no results: $FIRST" >&2; exit 1; }
-echo "$FIRST" | grep -Eq '"digest": *"[0-9a-f]{16}"' || {
+grep -Eq '"digest": *"[0-9a-f]{16}"' <<<"$FIRST" || {
   echo "smoke: digested job carried no 16-hex state digest: $FIRST" >&2; exit 1; }
 
 echo "smoke: scraping /metrics"
 METRICS=$(curl -fsS "http://$ADDR/metrics")
-echo "$METRICS" | grep -q '^nimsim_jobs_completed_total 1$' || {
+grep -q '^nimsim_jobs_completed_total 1$' <<<"$METRICS" || {
   echo "smoke: expected nimsim_jobs_completed_total 1" >&2
   echo "$METRICS" | grep '^nimsim_' >&2; exit 1; }
 
 echo "smoke: resubmitting identical body, expecting cache hit"
 HEADERS=$(curl -fsS -D - -o "$OUT/hit.json" -X POST "http://$ADDR/jobs" -d "$BODY")
-echo "$HEADERS" | grep -qi '^x-cache: hit' || {
+grep -qi '^x-cache: hit' <<<"$HEADERS" || {
   echo "smoke: second submit was not a cache hit:" >&2
   echo "$HEADERS" >&2; exit 1; }
 
