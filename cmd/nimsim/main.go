@@ -12,6 +12,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -20,6 +21,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	nim "repro"
@@ -85,6 +87,11 @@ func main() {
 	case (*traceOut != "" || *spansOut != "") && *traceBuf < 1:
 		fatalf("-tracebuf must be >= 1")
 	}
+	if *asJSON {
+		// The JSON document owns stdout; the ASCII maps and the bus report
+		// would corrupt it.
+		refuse("json", "heatmap", "buses", "tmap")
+	}
 
 	cfg, err := opts.Build(opts.scheme)
 	if err != nil {
@@ -98,20 +105,14 @@ func main() {
 
 	if *diverge != "" {
 		// The two runs are plain runner jobs on one benchmark: no mix,
-		// replay or tracer, and no report but the diverge report. Refuse
-		// the flags that need them rather than silently dropping them.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "mix", "replay", "metrics", "trace", "spans", "breakdown",
-				"profile", "proftrace", "heatmap", "buses", "tmap":
-				fatalf("-%s cannot be used with -diverge", f.Name)
-			}
-		})
+		// replay or tracer, and no report but the diverge report.
+		refuse("diverge", "mix", "replay", "metrics", "trace", "spans", "breakdown",
+			"profile", "proftrace", "heatmap", "buses", "tmap")
 		runDiverge(opts, *diverge, *warm, *measure, *tinter, wantThermal, *digestIv, *asJSON)
 		return
 	}
 
-	sim, err := buildSimulation(cfg, opts.bench, *mix, *traceIn, opts.seed)
+	sim, err := buildSimulation(cfg, cmp.Or(*mix, opts.bench), *traceIn, opts.seed)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -160,13 +161,12 @@ func main() {
 		}
 	}
 	if sampler := sim.Sampler(); sampler != nil {
-		ts := sampler.Series()
-		if ring != nil {
-			// Parity with the Chrome-trace export: mark the series when the
-			// companion event trace is partial.
-			ts.DroppedEvents = ring.Dropped()
+		if err := writeMetrics(*metrics, sampler.Series()); err != nil {
+			fatalf("%v", err)
 		}
-		if err := writeMetrics(*metrics, ts); err != nil {
+	}
+	if *profOut != "" {
+		if err := writeHostTimeline(*profOut, sim.Profiler()); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -177,7 +177,7 @@ func main() {
 		if err := enc.Encode(r); err != nil {
 			fatalf("%v", err)
 		}
-		if err := sim.CheckInvariants(); err != nil {
+		if err := sim.CheckSingleCopy(); err != nil {
 			fatalf("invariant violation: %v", err)
 		}
 		return
@@ -293,16 +293,10 @@ func main() {
 	}
 	if *busrep {
 		fmt.Println()
-		sim.WriteBusReport(os.Stdout)
+		sim.BusReport(os.Stdout)
 	}
 
-	if *profOut != "" {
-		if err := writeHostTimeline(*profOut, sim.Profiler()); err != nil {
-			fatalf("%v", err)
-		}
-	}
-
-	if err := sim.CheckInvariants(); err != nil {
+	if err := sim.CheckSingleCopy(); err != nil {
 		fatalf("invariant violation: %v", err)
 	}
 }
@@ -429,11 +423,11 @@ func writeHostTimeline(path string, rec *nim.ProfileRecorder) error {
 	return f.Close()
 }
 
-// buildSimulation constructs (and warms) the requested machine: a single
-// benchmark on every core, a multiprogrammed mix, or replayed trace files.
-func buildSimulation(cfg nim.Config, bench, mix, traceIn string, seed uint64) (*nim.Simulation, error) {
-	switch {
-	case traceIn != "":
+// buildSimulation constructs (and warms) the requested machine: replayed
+// trace files, or benchmark profiles from a comma-separated list, one per
+// core and cycled (a single name runs it on every core).
+func buildSimulation(cfg nim.Config, benches, traceIn string, seed uint64) (*nim.Simulation, error) {
+	if traceIn != "" {
 		files := strings.Split(traceIn, ",")
 		streams := make([]nim.Stream, cfg.NumCPUs)
 		var footprint []nim.LineAddr
@@ -450,40 +444,28 @@ func buildSimulation(cfg nim.Config, bench, mix, traceIn string, seed uint64) (*
 			streams[i] = fs
 			footprint = append(footprint, fs.Footprint()...)
 		}
-		sim, err := nim.NewTraceSimulation(cfg, streams, "trace:"+traceIn, seed)
+		sim, err := nim.NewTraceSimulation(cfg, streams, "trace:"+traceIn)
 		if err != nil {
 			return nil, err
 		}
 		sim.WarmAddresses(footprint)
 		return sim, nil
-	case mix != "":
-		names := strings.Split(mix, ",")
-		benches := make([]nim.Benchmark, cfg.NumCPUs)
-		for i := range benches {
-			p, ok := nim.BenchmarkByName(names[i%len(names)], cfg.NumCPUs)
-			if !ok {
-				return nil, fmt.Errorf("unknown benchmark %q", names[i%len(names)])
-			}
-			benches[i] = p
-		}
-		sim, err := nim.NewMixedSimulation(cfg, benches, seed)
-		if err != nil {
-			return nil, err
-		}
-		sim.Warm()
-		return sim, nil
-	default:
-		prof, ok := nim.BenchmarkByName(bench, cfg.NumCPUs)
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q", bench)
-		}
-		sim, err := nim.NewSimulation(cfg, prof, seed)
-		if err != nil {
-			return nil, err
-		}
-		sim.Warm()
-		return sim, nil
 	}
+	names := strings.Split(benches, ",")
+	profiles := make([]nim.Benchmark, cfg.NumCPUs)
+	for i := range profiles {
+		p, ok := nim.BenchmarkByName(names[i%len(names)], cfg.NumCPUs)
+		if !ok {
+			return nil, fmt.Errorf("unknown benchmark %q", names[i%len(names)])
+		}
+		profiles[i] = p
+	}
+	sim, err := nim.NewMixedSimulation(cfg, profiles, seed)
+	if err != nil {
+		return nil, err
+	}
+	sim.Warm(seed)
+	return sim, nil
 }
 
 // writeTrace dumps the ring's events as Chrome trace-event JSON. A
@@ -527,6 +509,16 @@ func writeMetrics(path string, ts *nim.MetricsSeries) error {
 		return err
 	}
 	return f.Close()
+}
+
+// refuse exits when any of names was set on the command line next to
+// -mode, which cannot honour them, rather than silently dropping them.
+func refuse(mode string, names ...string) {
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			fatalf("-%s cannot be used with -%s", f.Name, mode)
+		}
+	})
 }
 
 func fatalf(format string, args ...any) {

@@ -13,7 +13,7 @@ func Example() {
 	bench, _ := nim.BenchmarkByName("swim", cfg.NumCPUs)
 	sim, _ := nim.NewSimulation(cfg, bench, 1)
 
-	sim.Warm()
+	sim.Warm(1)
 	sim.Start()
 	sim.Run(40_000)
 	sim.ResetStats()
@@ -94,6 +94,36 @@ func ExampleRunSweep() {
 	// 8 pillars: measured 30000 cycles
 	// 2 pillars: measured 30000 cycles
 	// fewer pillars is slower: true
+}
+
+// An OnChunk hook watches a job's machine while it runs: the runner calls
+// it after every chunk of the warm-up and measurement windows (at most 64
+// chunks each) and once more at completion, with the fraction of both
+// windows done. The machine is a *nim.Simulation, which the hook may read
+// but must not advance or change.
+func ExampleSweepJob_onChunk() {
+	opt := nim.DefaultOptions()
+	opt.WarmCycles, opt.MeasureCycles = 10_000, 30_000
+	job := nim.NewSweepJob(nim.DefaultConfig(nim.CMPDNUCA3D), "swim", opt)
+
+	var cycles uint64
+	measuringCalls := 0
+	job.OnChunk = func(sim *nim.Simulation, fraction float64, measuring bool) {
+		if measuring {
+			measuringCalls++
+		}
+		if fraction == 1 {
+			cycles = sim.Results().Cycles
+		}
+	}
+	if err := nim.SweepError(nim.RunSweep([]nim.SweepJob{job}, 1, nil)); err != nil {
+		panic(err)
+	}
+	fmt.Println("measured cycles:", cycles)
+	fmt.Println("calls in the measurement window:", measuringCalls)
+	// Output:
+	// measured cycles: 30000
+	// calls in the measurement window: 65
 }
 
 func ExampleConfig_WithL2Size() {

@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sim.Warm()       // install the post-warm-up cache steady state
+	sim.Warm(1)      // install the post-warm-up cache steady state
 	sim.Start()      // begin execution on all eight cores
 	sim.Run(50_000)  // settle
 	sim.ResetStats() // discard the settling window

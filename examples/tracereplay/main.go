@@ -57,7 +57,7 @@ func main() {
 
 	for _, scheme := range []nim.Scheme{nim.CMPSNUCA3D, nim.CMPDNUCA3D} {
 		c := nim.DefaultConfig(scheme)
-		sim, err := nim.NewTraceSimulation(c, streams, "replayed-trace", 1)
+		sim, err := nim.NewTraceSimulation(c, streams, "replayed-trace")
 		if err != nil {
 			log.Fatal(err)
 		}

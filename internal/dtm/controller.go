@@ -128,9 +128,6 @@ func (c *Controller) Policy() Policy { return c.policy }
 // TripC returns the trip temperature.
 func (c *Controller) TripC() float64 { return c.tripC }
 
-// Engaged reports whether any cell is currently managed (hot).
-func (c *Controller) Engaged() bool { return c.stats.HotCells > 0 }
-
 // GridStepped implements obs.ThermalActor: after every RC step it
 // re-derives the hot mask from the freshly stepped, cycle-stamped grid
 // temperatures. All actuator decisions until the next step are pure

@@ -163,8 +163,7 @@ func WriteChromeTraceMeta(w io.Writer, events []Event, meta TraceMeta) error {
 // tracks: each column (beyond the leading cycle) becomes one "ph":"C"
 // counter whose value steps at every sampling instant, under a synthetic
 // "interval metrics" process. Open alongside an event trace to scrub
-// power, temperature, and rate metrics against individual events. The
-// series' drop count (if any) lands in otherData like the event export's.
+// power, temperature, and rate metrics against individual events.
 func WriteCounterTrace(w io.Writer, ts *TimeSeries) error {
 	out := make([]traceEvent, 0, len(ts.Rows)*maxInt(len(ts.Header)-1, 0)+1)
 	out = append(out, traceEvent{
@@ -184,11 +183,7 @@ func WriteCounterTrace(w io.Writer, ts *TimeSeries) error {
 			})
 		}
 	}
-	tr := chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"}
-	if ts.DroppedEvents > 0 {
-		tr.OtherData = map[string]any{"dropped_events": ts.DroppedEvents}
-	}
-	return json.NewEncoder(w).Encode(tr)
+	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"})
 }
 
 // maxInt returns the larger of two ints.

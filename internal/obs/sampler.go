@@ -14,18 +14,10 @@ import (
 type TimeSeries struct {
 	Header []string
 	Rows   [][]float64
-
-	// DroppedEvents mirrors the trace ring's drop count when the series
-	// was captured alongside an event trace (parity with the Chrome-trace
-	// otherData metadata): non-zero marks the companion trace as partial.
-	// It rides the exports — an otherData section in JSON, a trailing
-	// comment line in CSV — only when non-zero.
-	DroppedEvents uint64
 }
 
 // WriteCSV writes the series as an RFC-4180 CSV with a header row.
-// Integral values print without a decimal point. A non-zero drop count
-// appends a "# dropped_events=N" comment line after the data.
+// Integral values print without a decimal point.
 func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 	for i, h := range ts.Header {
 		if i > 0 {
@@ -55,11 +47,6 @@ func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 			return err
 		}
 	}
-	if ts.DroppedEvents > 0 {
-		if _, err := fmt.Fprintf(w, "# dropped_events=%d\n", ts.DroppedEvents); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -72,19 +59,12 @@ func formatSample(v float64) string {
 	return strconv.FormatFloat(v, 'f', 4, 64)
 }
 
-// WriteJSON writes the series as a JSON object {"header":[...],"rows":[...]},
-// plus an otherData section carrying the drop count when non-zero (the
-// same shape the Chrome-trace export uses).
+// WriteJSON writes the series as a JSON object {"header":[...],"rows":[...]}.
 func (ts *TimeSeries) WriteJSON(w io.Writer) error {
-	var other map[string]any
-	if ts.DroppedEvents > 0 {
-		other = map[string]any{"dropped_events": ts.DroppedEvents}
-	}
 	return json.NewEncoder(w).Encode(struct {
-		Header    []string       `json:"header"`
-		Rows      [][]float64    `json:"rows"`
-		OtherData map[string]any `json:"otherData,omitempty"`
-	}{ts.Header, ts.Rows, other})
+		Header []string    `json:"header"`
+		Rows   [][]float64 `json:"rows"`
+	}{ts.Header, ts.Rows})
 }
 
 // column is one sampled metric: a name and a closure producing the value

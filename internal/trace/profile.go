@@ -273,12 +273,6 @@ func (p Profile) StreamRegion(cpu int) Region {
 	return Region{id: p.regionID(regionStream + 2*uint64(cpu)), n: p.PrivateLines}
 }
 
-// StreamLine returns the address of the j-th line of a core's private
-// streaming set.
-func (p Profile) StreamLine(cpu, j int) cache.LineAddr {
-	return p.StreamRegion(cpu).Line(j)
-}
-
 // SharedRegion returns the globally shared data region (scattered pages).
 func (p Profile) SharedRegion() Region {
 	return Region{id: p.regionID(regionShared), n: p.SharedLines}

@@ -18,7 +18,7 @@
 //	cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
 //	bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
 //	sim, _ := nim.NewSimulation(cfg, bench, 1)
-//	sim.Warm()
+//	sim.Warm(1)
 //	sim.Start()
 //	sim.Run(50_000)  // settle
 //	sim.ResetStats()
@@ -36,12 +36,10 @@ import (
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/digest"
 	"repro/internal/dtm"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/runner"
-	"repro/internal/thermal"
 	"repro/internal/trace"
 )
 
@@ -95,9 +93,6 @@ type FileStream = trace.FileStream
 // line; see trace.ParseTrace for the full format.
 func ParseTrace(r io.Reader) (*FileStream, error) { return trace.ParseTrace(r) }
 
-// ThermalProfile is a peak/average/minimum temperature triple.
-type ThermalProfile = thermal.Profile
-
 // SweepJob describes one simulation in a batch sweep: a full Config
 // (scheme plus any per-job overrides such as L2 size, layer count, or
 // pillar count), a benchmark name, the warm/measure windows, and a seed.
@@ -146,74 +141,35 @@ func RunSweep(jobs []SweepJob, parallel int, progress func(done, total int, r Sw
 // when every job in the sweep succeeded.
 func SweepError(results []SweepResult) error { return runner.FirstError(results) }
 
-// Simulation is one configured machine running one benchmark.
-type Simulation struct {
-	sys  *core.System
-	seed uint64
-}
+// Simulation is one configured machine running one workload. It is the
+// simulator itself (internal/core's System), the machine the sweep runner
+// drives and a SweepJob's OnChunk hook receives. Run it as the paper's
+// evaluation does: Warm (or WarmAddresses on a trace-driven machine),
+// Start, Run to settle, ResetStats, Run to measure, then Results.
+// Instrument and AttachTracer attach observers; WriteHeatmap, BusReport
+// and WriteThermalMap print text reports; CheckSingleCopy verifies the
+// L2's single-copy invariant and the line directory.
+type Simulation = core.System
 
 // NewSimulation builds a deterministic simulation running one benchmark on
-// every core.
+// every core. Warm it with the same seed.
 func NewSimulation(cfg Config, bench Benchmark, seed uint64) (*Simulation, error) {
-	sys, err := core.NewSystem(cfg, bench, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{sys: sys, seed: seed}, nil
+	return core.NewSystem(cfg, bench, seed)
 }
 
 // NewMixedSimulation builds a multiprogrammed machine: core i runs
 // benches[i]. Programs get disjoint address spaces; cores given the same
 // benchmark share its code and shared-data regions.
 func NewMixedSimulation(cfg Config, benches []Benchmark, seed uint64) (*Simulation, error) {
-	sys, err := core.NewSystemMixed(cfg, benches, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{sys: sys, seed: seed}, nil
+	return core.NewSystemMixed(cfg, benches, seed)
 }
 
 // NewTraceSimulation builds a machine whose cores replay external reference
 // streams. Use WarmAddresses (e.g. with FileStream.Footprint) to pre-fill
-// the L2 before measuring.
-func NewTraceSimulation(cfg Config, streams []Stream, label string, seed uint64) (*Simulation, error) {
-	sys, err := core.NewSystemStreams(cfg, streams, label)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{sys: sys, seed: seed}, nil
+// the L2 before measuring; Warm does nothing on such a machine.
+func NewTraceSimulation(cfg Config, streams []Stream, label string) (*Simulation, error) {
+	return core.NewSystemStreams(cfg, streams, label)
 }
-
-// WarmAddresses installs the given lines at their home clusters — warm-up
-// for trace-driven simulations.
-func (s *Simulation) WarmAddresses(addrs []LineAddr) { s.sys.WarmAddresses(addrs) }
-
-// Warm installs the benchmark's post-warm-up steady state into the caches
-// (the paper's 500M-cycle warm-up, compressed; see internal/core.Warm).
-func (s *Simulation) Warm() { s.sys.Warm(s.seed) }
-
-// Start begins execution on every core.
-func (s *Simulation) Start() { s.sys.Start() }
-
-// Run advances the machine by n cycles.
-func (s *Simulation) Run(n uint64) { s.sys.Run(n) }
-
-// ResetStats discards measurements so far, keeping architectural state.
-func (s *Simulation) ResetStats() { s.sys.ResetStats() }
-
-// Results reads out the current measurement window.
-func (s *Simulation) Results() Results { return s.sys.Results() }
-
-// CheckInvariants verifies internal consistency (the L2 single-copy
-// invariant, and that the line directory agrees with the tag arrays); it
-// is primarily for tests and debugging.
-func (s *Simulation) CheckInvariants() error { return s.sys.CheckSingleCopy() }
-
-// WriteHeatmap renders per-layer ASCII router-utilization maps to w.
-func (s *Simulation) WriteHeatmap(w io.Writer) { s.sys.WriteHeatmap(w) }
-
-// WriteBusReport summarizes each pillar bus's traffic and utilization.
-func (s *Simulation) WriteBusReport(w io.Writer) { s.sys.BusReport(w) }
 
 // --- Observability (internal/obs) --------------------------------------
 
@@ -221,8 +177,9 @@ func (s *Simulation) WriteBusReport(w io.Writer) { s.sys.BusReport(w) }
 // dTDMA arbitration, cache-line migration, or MSI coherence activity.
 type TraceEvent = obs.Event
 
-// TraceSink receives trace events; implement it to stream events to a
-// custom destination, or use NewTraceRing for the standard bounded buffer.
+// TraceSink receives trace events; attach one with
+// Simulation.AttachTracer. Implement it to stream events to a custom
+// destination, or use NewTraceRing for the standard bounded buffer.
 type TraceSink = obs.Sink
 
 // TraceRing is a bounded in-memory sink keeping the most recent events.
@@ -247,67 +204,26 @@ func WriteChromeTraceMeta(w io.Writer, events []TraceEvent, meta TraceMeta) erro
 	return obs.WriteChromeTraceMeta(w, events, meta)
 }
 
-// SpanRecorder accumulates per-transaction latency spans; see
-// Instruments.RecordSpans.
-type SpanRecorder = obs.SpanRecorder
-
 // LatencyBreakdown is the aggregate per-component L2 latency decomposition
 // of a measurement window, split by hits and misses. It appears in
-// Results.Breakdown when a span recorder is attached and prints with
-// WriteTable.
+// Results.Breakdown when spans are recorded (Instruments.RecordSpans) and
+// prints with WriteTable.
 type LatencyBreakdown = obs.BreakdownReport
 
 // ComponentStat summarizes one latency component over a transaction class.
 type ComponentStat = obs.ComponentStat
 
-// MetricsSampler takes periodic interval-metrics snapshots
-// (Instruments.SampleInterval); read the accumulated table with Series().
-type MetricsSampler = obs.Sampler
-
-// MetricsSeries is a sampled metrics table with CSV/JSON export.
+// MetricsSeries is a sampled metrics table with CSV/JSON export: read it
+// from Simulation.Sampler().Series() or SweepResult.Samples.
 type MetricsSeries = obs.TimeSeries
 
-// AttachTracer attaches a trace sink to every instrumented layer of the
-// machine: packet inject/hop/VC-stall/eject, dTDMA slot-wheel resizing and
-// bus grants, migration steps, cache SRAM accesses, and MSI coherence
-// transitions all flow into the sink as cycle-stamped TraceEvents. A nil
-// sink detaches tracing and restores the zero-overhead path (an unattached
-// simulation pays one nil check per would-be event). Tracing composes with
-// an attached thermal pipeline: each event tees to both.
-func (s *Simulation) AttachTracer(sink TraceSink) {
-	s.sys.AttachTracer(sink)
-}
-
-// Instruments selects the observers a simulation attaches — the metrics
-// sampler, the thermal pipeline (with the DTM controller on a managed
-// Config), state digests, transaction spans, and the host profiler —
-// each adding its report to Results. The zero value attaches nothing.
-type Instruments = core.Instruments
-
-// Instrument attaches the observers in. It owns their timing and order:
-// spans and the profiler attach at once, so request them before the
-// settle run; thermal, digests and the sampler (in that order, so the
-// sampler carries the thermal and digest columns) attach at the next
-// ResetStats when requested before Start, at once after it. It errors on
-// a request it cannot honour: a DTM policy without a thermal interval,
-// unparseable DTM strings, or thermal or digests requested after the
-// sampler. Every observer is non-perturbing: Results, minus the reports
+// Instruments selects the observers Simulation.Instrument attaches — the
+// metrics sampler, the thermal pipeline (with the DTM controller on a
+// managed Config), state digests, transaction spans, and the host
+// profiler — each adding its report to Results. The zero value attaches
+// nothing. Every observer is non-perturbing: Results, minus the reports
 // they add, are bit-identical to an uninstrumented run.
-func (s *Simulation) Instrument(in Instruments) error { return s.sys.Instrument(in) }
-
-// Sampler returns the attached metrics sampler, or nil.
-func (s *Simulation) Sampler() *MetricsSampler { return s.sys.Sampler() }
-
-// Spans returns the attached span recorder, or nil. Give it a trace sink
-// (SpanRecorder.SetSink) to stream each attributed interval as an EvSpan
-// TraceEvent; WriteChromeTrace renders those as per-CPU Perfetto tracks.
-func (s *Simulation) Spans() *SpanRecorder { return s.sys.Spans() }
-
-// Profiler returns the attached host-side phase profiler, or nil.
-func (s *Simulation) Profiler() *ProfileRecorder { return s.sys.Profiler() }
-
-// DigestRecorder returns the attached state-digest recorder, or nil.
-func (s *Simulation) DigestRecorder() *DigestRecorder { return s.sys.DigestRecorder() }
+type Instruments = core.Instruments
 
 // ThermalReport is the run-level transient-thermal summary appearing in
 // Results.Thermal when a thermal tracker is attached: peak temperature and
@@ -322,13 +238,6 @@ func WriteCounterTrace(w io.Writer, ts *MetricsSeries) error {
 	return obs.WriteCounterTrace(w, ts)
 }
 
-// WriteThermalMap renders per-layer ASCII temperature maps of the attached
-// thermal tracker's grid, with CPU cells marked. It errors when no thermal
-// pipeline is attached (Instruments.ThermalInterval).
-func (s *Simulation) WriteThermalMap(w io.Writer) error {
-	return s.sys.WriteThermalMap(w)
-}
-
 // DTMReport is the run-level dynamic-thermal-management summary appearing
 // in Results.DTM when a DTM controller is attached: trip engagements,
 // per-actuator counts (migration vetoes, drowsy-bank wakeups, duty-cycle
@@ -339,34 +248,13 @@ type DTMReport = dtm.Report
 // --- Host-side profiling (internal/prof) --------------------------------
 
 // ProfileRecorder is the host-side phase profiler ("flight recorder");
-// see Instruments.Profile. Read it out with Report (full readout, including
-// the table renderer behind `nimsim -profile`) or stream the rolling
-// throughput windows as a Perfetto host timeline with WriteTimeline.
+// see Instruments.Profile and Simulation.Profiler. Read it out with Report
+// (full readout, including the table renderer behind `nimsim -profile`)
+// or stream the rolling throughput windows as a Perfetto host timeline
+// with WriteTimeline.
 type ProfileRecorder = prof.Recorder
 
-// ProfileReport is the flight-recorder readout appearing in
-// Results.Profile when the profiler is attached: per-phase wall-clock
-// share/mean/P95, the rolling cycles/sec series, allocation deltas, and
-// host provenance (GOOS/GOARCH, CPU count, Go version).
-type ProfileReport = prof.Report
-
 // --- State digests (internal/digest) ------------------------------------
-
-// DigestRecorder is the incremental state-digest engine; see
-// Instruments.DigestInterval.
-// Read the final digest with Digest(), the full snapshot stream with
-// Records().
-type DigestRecorder = digest.Recorder
-
-// DigestReport is the digest summary appearing in Results.Digests when a
-// recorder is attached: the snapshot interval, the final run-attesting
-// 64-bit digest, and the per-subsystem chain values. Its in-memory
-// Stream field (not serialized) carries the full snapshot sequence.
-type DigestReport = digest.Report
-
-// DigestRecord is one digest snapshot: a cycle plus cumulative per-lane
-// and overall digests.
-type DigestRecord = digest.Record
 
 // DivergeReport locates where two configurations' digest streams first
 // disagree; see Diverge.

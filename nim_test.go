@@ -38,7 +38,7 @@ func TestSimulationLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Warm()
+	sim.Warm(42)
 	sim.Start()
 	sim.Run(20_000)
 	sim.ResetStats()
@@ -53,7 +53,7 @@ func TestSimulationLifecycle(t *testing.T) {
 	if r.IPC <= 0 || r.L2Hits == 0 {
 		t.Errorf("no progress: %+v", r)
 	}
-	if err := sim.CheckInvariants(); err != nil {
+	if err := sim.CheckSingleCopy(); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,7 +1,7 @@
 // End-to-end tests of the observability surface: AttachTracer and
 // Instrument on a real simulation, the observer non-perturbation
-// contract, the Chrome trace export, and the WriteHeatmap /
-// WriteBusReport text reports.
+// contract, the Chrome trace export, and the WriteHeatmap / BusReport
+// text reports.
 package nim_test
 
 import (
@@ -27,7 +27,7 @@ func newSim(t testing.TB, cfg nim.Config, seed uint64, in nim.Instruments) *nim.
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Warm()
+	sim.Warm(seed)
 	sim.Start()
 	return sim
 }
@@ -226,7 +226,7 @@ func TestWriteBusReportContent(t *testing.T) {
 	sim := observedSim(t)
 	sim.Run(20_000)
 	var buf bytes.Buffer
-	sim.WriteBusReport(&buf)
+	sim.BusReport(&buf)
 	out := buf.String()
 
 	if !strings.Contains(out, "pillar") || !strings.Contains(out, "utilization") {

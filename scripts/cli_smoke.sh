@@ -2,7 +2,8 @@
 # Bad-input smoke test of the nimsim and experiments CLIs: build each
 # binary once, feed it every documented bad input, and assert each exits 1
 # with a "<command>:" message on stderr, nothing on stdout and no Go panic,
-# not even one the runner recovered and reported as "panicked".
+# not even one the runner recovered and reported as "panicked". Then run
+# a few valid nimsim invocations and check the files they write.
 # Runs in a temporary directory, so the missing replay file stays missing
 # and nothing is left behind.
 #
@@ -32,6 +33,19 @@ run() {
   fi
 }
 check() { run nimsim "$@"; }
+# produces TEST ARGS... runs one valid nimsim invocation, which must exit 0
+# and leave the shell test TEST true.
+produces() {
+  local test=$1 code=0
+  shift
+  ./nimsim "$@" >stdout.txt 2>stderr.txt || code=$?
+  if [ "$code" -ne 0 ] || ! eval "$test"; then
+    echo "cli_smoke: FAIL nimsim $* exited $code or left $test false: $(<stderr.txt)" >&2
+    FAIL=1
+  else
+    echo "cli_smoke: ok   nimsim $* -> $test"
+  fi
+}
 
 check -scheme bogus
 check -bench nope
@@ -69,6 +83,10 @@ check -diverge dtm=all -tinterval 0
 # dropped.
 check -diverge seed=2 -mix art,mgrid
 check -diverge seed=2 -heatmap
+# -json owns stdout, so the reports that print ASCII there are refused.
+check -json -heatmap
+check -json -buses
+check -json -tmap
 # An unknown or empty -bench item is rejected before any section prints.
 run experiments -figure 17 -bench nope
 run experiments -all -bench mgrid,
@@ -77,4 +95,8 @@ run experiments -all -bench mgrid,
 run experiments -table 1 -figure 99
 run experiments -table 9
 run experiments -figure 13 -seeds -3 -bench mgrid -warm 10 -measure 10
+# -json still writes the host timeline, which goes to a file.
+produces '[ -s pt.json ]' -json -proftrace pt.json -warm 1000 -measure 4000
+# The metrics CSV stays plain RFC 4180 when the event-trace ring drops.
+produces '[ -s m.csv ] && ! grep -q "^#" m.csv' -warm 1000 -measure 4000 -metrics m.csv -trace t.json -tracebuf 100
 exit "$FAIL"
