@@ -290,7 +290,7 @@ func BenchmarkAblationTagPorts(b *testing.B) {
 // "spans" attaches the pooled transaction span recorder instead.
 func BenchmarkTracingOverhead(b *testing.B) {
 	run := func(b *testing.B, in nim.Instruments, sink nim.TraceSink) {
-		sim := newSim(b, nim.DefaultConfig(nim.CMPDNUCA3D), 1, in)
+		sim := newSim(b, nim.DefaultConfig(nim.CMPDNUCA3D), "mgrid", 1, in)
 		sim.ResetStats() // attaches the window instruments
 		sim.AttachTracer(sink)
 		b.ResetTimer()
@@ -310,21 +310,21 @@ func BenchmarkTracingOverhead(b *testing.B) {
 // second. The "serial" case is the historical default 3D system and the
 // regression gate's anchor (scripts/bench.sh holds it within 10% of the
 // committed baseline). The "stacked" case is the four-layer stacked-CPU
-// machine, where the network phase dominates loop time.
+// machine, where the network phase dominates loop time. The "snuca" case
+// is static CMP-SNUCA-3D on equake, where nothing migrates and the cores
+// and the event engine dominate: the benchmark's CPU-bound machine.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	run := func(b *testing.B, stacked bool) {
-		cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
-		if stacked {
-			cfg.Layers = 4
-			cfg.StackCPUs = true
-		}
-		sim := newSim(b, cfg, 1, nim.Instruments{})
+	run := func(b *testing.B, cfg nim.Config, benchmark string) {
+		sim := newSim(b, cfg, benchmark, 1, nim.Instruments{})
 		b.ResetTimer()
 		sim.Run(uint64(b.N))
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
 	}
-	b.Run("serial", func(b *testing.B) { run(b, false) })
-	b.Run("stacked", func(b *testing.B) { run(b, true) })
+	stacked := nim.DefaultConfig(nim.CMPDNUCA3D)
+	stacked.Layers, stacked.StackCPUs = 4, true
+	b.Run("serial", func(b *testing.B) { run(b, nim.DefaultConfig(nim.CMPDNUCA3D), "mgrid") })
+	b.Run("stacked", func(b *testing.B) { run(b, stacked, "mgrid") })
+	b.Run("snuca", func(b *testing.B) { run(b, nim.DefaultConfig(nim.CMPSNUCA3D), "equake") })
 }
 
 func BenchmarkThermalSolver(b *testing.B) {
@@ -350,7 +350,7 @@ func BenchmarkThermalSolver(b *testing.B) {
 // cause (stall events, diverted packets), not just the hook overhead.
 func BenchmarkDTMOverhead(b *testing.B) {
 	run := func(b *testing.B, policy string, tripC float64, in nim.Instruments) {
-		sim := newSim(b, stackedConfig(policy, tripC), 1, in)
+		sim := newSim(b, stackedConfig(policy, tripC), "mgrid", 1, in)
 		sim.ResetStats() // attaches the thermal loop
 		b.ResetTimer()
 		sim.Run(uint64(b.N))

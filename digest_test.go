@@ -89,7 +89,7 @@ func TestDigestGolden(t *testing.T) {
 	}
 	for _, scheme := range nim.Schemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			sim := newSim(t, nim.DefaultConfig(scheme), 1, nim.Instruments{})
+			sim := newSim(t, nim.DefaultConfig(scheme), "mgrid", 1, nim.Instruments{})
 			if err := sim.Instrument(nim.Instruments{DigestInterval: 1_000}); err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestDigestGolden(t *testing.T) {
 // snapshot.
 func TestDigestRecordPathAllocs(t *testing.T) {
 	cfg := managedRun(nim.CMPDNUCA3D, false, 0).cfg
-	sim := newSim(t, cfg, 3, nim.Instruments{ThermalInterval: 500, DigestInterval: 1})
+	sim := newSim(t, cfg, "mgrid", 3, nim.Instruments{ThermalInterval: 500, DigestInterval: 1})
 	sim.Run(20)
 	sim.ResetStats()
 	rec := sim.DigestRecorder()

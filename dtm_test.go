@@ -27,7 +27,7 @@ func stackedConfig(policy string, tripC float64) nim.Config {
 // unmanaged.
 func dtmRun(t *testing.T, policy string, tripC float64) nim.Results {
 	t.Helper()
-	sim := newSim(t, stackedConfig(policy, tripC), 3, nim.Instruments{ThermalInterval: 1_000})
+	sim := newSim(t, stackedConfig(policy, tripC), "mgrid", 3, nim.Instruments{ThermalInterval: 1_000})
 	sim.Run(5_000)
 	sim.ResetStats()
 	sim.Run(30_000)

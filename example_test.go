@@ -98,8 +98,8 @@ func ExampleRunSweep() {
 
 // An OnChunk hook watches a job's machine while it runs: the runner calls
 // it after every chunk of the warm-up and measurement windows (at most 64
-// chunks each) and once more at completion, with the fraction of both
-// windows done. The machine is a *nim.Simulation, which the hook may read
+// chunks each), with the fraction of both windows done; the last
+// measurement chunk's call is the one at fraction 1. The machine is a *nim.Simulation, which the hook may read
 // but must not advance or change.
 func ExampleSweepJob_onChunk() {
 	opt := nim.DefaultOptions()
@@ -123,7 +123,7 @@ func ExampleSweepJob_onChunk() {
 	fmt.Println("calls in the measurement window:", measuringCalls)
 	// Output:
 	// measured cycles: 30000
-	// calls in the measurement window: 65
+	// calls in the measurement window: 64
 }
 
 func ExampleConfig_WithL2Size() {

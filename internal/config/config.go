@@ -12,6 +12,10 @@ import (
 	"repro/internal/cache"
 )
 
+// maxL1Sets bounds L1Sets: 64 K sets is a 4 MB L1 even direct-mapped,
+// far past any core the model describes.
+const maxL1Sets = 1 << 16
+
 // Scheme selects one of the four L2 organizations compared in Section 5.2.
 type Scheme int
 
@@ -130,6 +134,8 @@ type Config struct {
 	L2 cache.Geometry
 
 	// L1 parameters: 64 KB split I/D, 2-way, 64 B lines, write-through.
+	// L1Sets is a power of two, since an L1 places a line with a mask and
+	// a shift, and at most maxL1Sets.
 	L1Sets, L1Ways int
 
 	// Latencies in cycles (Table 4).
@@ -275,8 +281,8 @@ func (c Config) Validate() error {
 	if c.L2.Clusters%c.Layers != 0 {
 		return fmt.Errorf("config: %d clusters not divisible by %d layers", c.L2.Clusters, c.Layers)
 	}
-	if c.L1Sets < 1 {
-		return fmt.Errorf("config: L1Sets = %d must be >= 1", c.L1Sets)
+	if n := c.L1Sets; n < 1 || n > maxL1Sets || n&(n-1) != 0 {
+		return fmt.Errorf("config: L1Sets = %d must be a power of two from 1 to %d", n, maxL1Sets)
 	}
 	if w := c.L1Ways; w < 1 || w > cache.MaxWays || w&(w-1) != 0 {
 		return fmt.Errorf("config: L1Ways = %d must be a power of two from 1 to %d", w, cache.MaxWays)

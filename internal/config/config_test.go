@@ -108,6 +108,22 @@ func TestValidateRejects(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Errorf("L1Ways = 64 must pass: %v", err)
 	}
+	// An L1 places a line with a mask and a shift, so its set count is a
+	// power of two, and 64 K sets bounds the model.
+	for _, sets := range []int{0, 3, 100, 513, 1 << 17, 1 << 40} {
+		c = Default(CMPDNUCA3D)
+		c.L1Sets = sets
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "L1Sets") {
+			t.Errorf("L1Sets = %d: Validate = %v, want an error naming L1Sets", sets, err)
+		}
+	}
+	for _, sets := range []int{1, 512, 1 << 16} {
+		c = Default(CMPDNUCA3D)
+		c.L1Sets = sets
+		if err := c.Validate(); err != nil {
+			t.Errorf("L1Sets = %d must pass: %v", sets, err)
+		}
+	}
 	// A trip temperature that is not a finite number could never trip, and
 	// the canonical JSON encoding cannot carry it.
 	for _, trip := range []float64{-1, math.NaN(), math.Inf(1)} {

@@ -20,8 +20,8 @@ type CPU struct {
 	id      int
 	pos     geom.Coord
 	cluster int
-	l1      *l1 // data cache
-	l1i     *l1 // instruction cache (the paper's split I/D L1)
+	l1      l1 // data cache
+	l1i     l1 // instruction cache (the paper's split I/D L1)
 	gen     trace.Stream
 
 	instrs       uint64
@@ -35,7 +35,10 @@ type CPU struct {
 	// buffer / an ifetch miss; pendingRef carries the reference of the
 	// core's single outstanding typed pipeline event (the in-order core
 	// never has two such events in flight). Value fields: scheduling a
-	// delayed access allocates nothing.
+	// delayed access allocates nothing. step fetches straight into
+	// pendingRef, and the access path takes a pointer to it and copies a
+	// reference only to park it: a 40-byte Ref returned, stored and
+	// reloaded through the stack costs a store-forwarding stall per step.
 	blockedStore trace.Ref
 	hasBlocked   bool
 	stalledRef   trace.Ref
@@ -80,17 +83,17 @@ func (c *CPU) step() {
 		c.sys.Engine.AfterEvent(1, c.sys, evCPUStep, c)
 		return
 	}
-	ref := c.gen.Next()
+	c.pendingRef = c.gen.Next()
+	ref := &c.pendingRef
 	c.instrs += uint64(ref.Gap)
 	if ref.Gap == 0 {
 		c.access(ref)
 		return
 	}
-	c.pendingRef = ref
 	c.sys.Engine.AfterEvent(uint64(ref.Gap), c.sys, evCPUAccess, c)
 }
 
-func (c *CPU) access(ref trace.Ref) {
+func (c *CPU) access(ref *trace.Ref) {
 	c.instrs++
 	if ref.HasCode {
 		c.ifetches++
@@ -98,7 +101,7 @@ func (c *CPU) access(ref trace.Ref) {
 			// An instruction-cache miss stalls the in-order front end; the
 			// data access resumes when the code line returns.
 			c.ifetchMisses++
-			c.stalledRef = ref
+			c.stalledRef = *ref
 			c.hasStalled = true
 			c.sys.Engine.AfterEvent(uint64(c.sys.Cfg.L1HitCycles), c.sys, evCPUIfetch, c)
 			return
@@ -118,7 +121,7 @@ func (c *CPU) ifetchDone(code cache.LineAddr) {
 	c.sys.Engine.AfterEvent(1, c.sys, evCPUData, c)
 }
 
-func (c *CPU) dataAccess(ref trace.Ref) {
+func (c *CPU) dataAccess(ref *trace.Ref) {
 	if ref.Write {
 		c.store(ref)
 	} else {
@@ -128,13 +131,13 @@ func (c *CPU) dataAccess(ref trace.Ref) {
 
 // load performs a blocking read: an L1 hit costs L1HitCycles; a miss issues
 // an L2 read transaction and stalls the core until the data returns.
-func (c *CPU) load(ref trace.Ref) {
+func (c *CPU) load(ref *trace.Ref) {
 	c.loads++
 	if hit, _ := c.l1.lookup(ref.Addr); hit {
 		c.sys.Engine.AfterEvent(uint64(c.sys.Cfg.L1HitCycles), c.sys, evCPUStep, c)
 		return
 	}
-	c.pendingRef = ref
+	c.pendingRef = *ref
 	c.sys.Engine.AfterEvent(uint64(c.sys.Cfg.L1HitCycles), c.sys, evCPULoadMiss, c)
 }
 
@@ -142,7 +145,7 @@ func (c *CPU) load(ref trace.Ref) {
 // immediately; a hit on a Shared line needs an ownership upgrade; a miss is
 // a read-for-ownership. Upgrades and RFOs run in the background through the
 // store buffer; a full buffer stalls the core.
-func (c *CPU) store(ref trace.Ref) {
+func (c *CPU) store(ref *trace.Ref) {
 	c.stores++
 	hit, modified := c.l1.lookup(ref.Addr)
 	if hit && modified {
@@ -150,7 +153,7 @@ func (c *CPU) store(ref trace.Ref) {
 		return
 	}
 	if c.storeCredits == 0 {
-		c.blockedStore = ref
+		c.blockedStore = *ref
 		c.hasBlocked = true
 		return // resumed by storeDone
 	}

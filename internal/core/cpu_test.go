@@ -16,7 +16,7 @@ func TestCPUBlockingLoad(t *testing.T) {
 
 	// A load that misses L1 blocks until data returns, then fills the L1.
 	// The transaction issues after the L1 lookup latency.
-	c.load(trace.Ref{Addr: addr})
+	c.load(&trace.Ref{Addr: addr})
 	s.Engine.Run(uint64(s.Cfg.L1HitCycles) + 1)
 	drain(t, s)
 	s.Engine.Run(10)
@@ -34,7 +34,7 @@ func TestCPUStoreFillsModified(t *testing.T) {
 	addr := cache.LineAddr(0x20)
 	s.Clusters[c.cluster].install(addr, 0, false)
 
-	c.store(trace.Ref{Addr: addr, Write: true})
+	c.store(&trace.Ref{Addr: addr, Write: true})
 	drain(t, s)
 	s.Engine.Run(10)
 	if _, mod := c.l1.lookup(addr); !mod {
@@ -51,7 +51,7 @@ func TestCPUStoreHitModifiedIsFree(t *testing.T) {
 	addr := cache.LineAddr(0x30)
 	c.l1.install(addr, true)
 	before := s.M.L2Accesses.Value()
-	c.store(trace.Ref{Addr: addr, Write: true})
+	c.store(&trace.Ref{Addr: addr, Write: true})
 	s.Engine.Run(10)
 	if s.M.L2Accesses.Value() != before {
 		t.Error("store to Modified line generated L2 traffic")
@@ -64,7 +64,7 @@ func TestCPUStoreHitSharedUpgrades(t *testing.T) {
 	addr := cache.LineAddr(0x40)
 	s.Clusters[c.cluster].install(addr, 0, false)
 	c.l1.install(addr, false) // Shared in L1
-	c.store(trace.Ref{Addr: addr, Write: true})
+	c.store(&trace.Ref{Addr: addr, Write: true})
 	drain(t, s)
 	s.Engine.Run(10)
 	if _, mod := c.l1.lookup(addr); !mod {
@@ -83,7 +83,7 @@ func TestCPUStoreBufferBlocks(t *testing.T) {
 	for i := 0; i <= storeBufferSlots; i++ {
 		addr := cache.LineAddr(0x1000 + i*0x100)
 		s.Clusters[c.cluster].install(addr, 0, false)
-		c.store(trace.Ref{Addr: addr, Write: true})
+		c.store(&trace.Ref{Addr: addr, Write: true})
 	}
 	if !c.hasBlocked {
 		t.Fatal("store buffer overflow did not block")
@@ -222,7 +222,7 @@ func TestIfetchFillsL1INotL1D(t *testing.T) {
 	codeLine := prof.CodeRegion().Line(0)
 	s.Clusters[s.Cfg.L2.PlaceOf(codeLine).HomeCluster].install(codeLine, 0, false)
 
-	ref := trace.Ref{Addr: 0x999, HasCode: true, Code: codeLine}
+	ref := &trace.Ref{Addr: 0x999, HasCode: true, Code: codeLine}
 	s.Clusters[s.Cfg.L2.PlaceOf(0x999).HomeCluster].install(0x999, 0, false)
 	c.access(ref)
 	s.Engine.Run(uint64(s.Cfg.L1HitCycles) + 1)

@@ -50,10 +50,10 @@ func (s *System) digestWalk(r *digest.Recorder) {
 		r.FoldBool(c.running)
 		r.Fold(c.l1.Hits)
 		r.Fold(c.l1.Misses)
-		c.l1.bank.DigestFold(r)
+		c.l1.tags.DigestFold(r)
 		r.Fold(c.l1i.Hits)
 		r.Fold(c.l1i.Misses)
-		c.l1i.bank.DigestFold(r)
+		c.l1i.tags.DigestFold(r)
 	}
 
 	r.BeginLane(digest.LaneCache)

@@ -82,13 +82,13 @@ func (s *System) HandleEvent(kind uint8, data any) {
 		data.(*CPU).step()
 	case evCPUAccess:
 		c := data.(*CPU)
-		c.access(c.pendingRef)
+		c.access(&c.pendingRef)
 	case evCPUIfetch:
 		c := data.(*CPU)
 		s.startIfetch(c, c.stalledRef.Code)
 	case evCPUData:
 		c := data.(*CPU)
-		c.dataAccess(c.pendingRef)
+		c.dataAccess(&c.pendingRef)
 	case evCPULoadMiss:
 		c := data.(*CPU)
 		s.startTxn(c, c.pendingRef.Addr, false)

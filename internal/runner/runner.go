@@ -51,11 +51,13 @@ type Job struct {
 	digestStart uint64
 
 	// OnChunk, when non-nil, is called on the worker goroutine after every
-	// chunk of both windows and once more at completion. fraction is the
-	// job's completion, warm+measure cycles executed over the total: it is
-	// non-decreasing, stays in [0, 1] and ends with exactly 1.0, zero-cycle
+	// chunk of both windows, and once at completion when the measurement
+	// window is empty and so ran no chunk. fraction is the job's
+	// completion, warm+measure cycles executed over the total: it is
+	// non-decreasing, stays in [0, 1] and ends at exactly 1.0, zero-cycle
 	// windows included. measuring reports the measurement window, where
-	// counters and the profile mean something; the final call sets it.
+	// counters and the profile mean something; the final call, and only
+	// it, is measuring at fraction 1.0.
 	// The hook may read sys (counter snapshots, the sampler's rows, the
 	// profiler) but must not advance or change it.
 	OnChunk func(sys *core.System, fraction float64, measuring bool)
@@ -229,7 +231,8 @@ func runOne(i int, j Job) (res Result) {
 		}
 	}
 	runChunked(sys, j, j.MeasureCycles-digestAt, done, true)
-	if j.OnChunk != nil {
+	if j.OnChunk != nil && j.MeasureCycles == 0 {
+		// The measurement window ran no chunk to make the final call.
 		j.OnChunk(sys, 1, true)
 	}
 	res.Results = sys.Results()

@@ -317,8 +317,8 @@ func TestJobProgressFraction(t *testing.T) {
 		t.Fatalf("final call = %+v, want fraction exactly 1.0, measuring, at cycle %d",
 			last, base.WarmCycles+base.MeasureCycles)
 	}
-	// ~64 chunks per window plus the final call: the hook must see real
-	// intermediate progress, not just completion.
+	// ~64 chunks per window: the hook must see real intermediate progress,
+	// not just completion.
 	if len(calls) < 10 {
 		t.Fatalf("only %d OnChunk calls; chunking is not happening", len(calls))
 	}
@@ -350,6 +350,37 @@ func TestJobProgressZeroWindow(t *testing.T) {
 	}
 	if len(calls) == 0 || calls[len(calls)-1].fraction != 1.0 || !calls[len(calls)-1].measuring {
 		t.Fatalf("calls = %+v, want a final measuring call at 1.0", calls)
+	}
+}
+
+// TestJobFinalCallOnce: a job observes its final state exactly once. The
+// last measurement chunk makes the one measuring call at fraction 1.0,
+// and only an empty measurement window, which runs no chunk, gets a
+// separate completion call.
+func TestJobFinalCallOnce(t *testing.T) {
+	for _, w := range []struct{ warm, measure uint64 }{{1_000, 3_000}, {1_000, 0}, {0, 0}} {
+		var calls []chunkCall
+		j := Job{
+			Config:        config.Default(config.CMPSNUCA3D),
+			Benchmark:     "mgrid",
+			WarmCycles:    w.warm,
+			MeasureCycles: w.measure,
+			Seed:          1,
+			OnChunk:       recordChunks(&calls),
+		}
+		if r := Run([]Job{j}, 1)[0]; r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		final := 0
+		for _, c := range calls {
+			if c.fraction == 1 && c.measuring {
+				final++
+			}
+		}
+		if last := calls[len(calls)-1]; final != 1 || last.fraction != 1 || !last.measuring {
+			t.Errorf("warm %d, measure %d: %d measuring calls at 1.0, last call %+v; want one, the last",
+				w.warm, w.measure, final, last)
+		}
 	}
 }
 

@@ -653,7 +653,8 @@ func TestBadRequests(t *testing.T) {
 	// So are DTM strings that do not parse (the check Instrument runs):
 	// such a job would otherwise warm and settle a machine before failing.
 	// So is a complete config whose L1 associativity a set cannot hold:
-	// building that machine would panic in the worker. So is one with
+	// building that machine would panic in the worker. So is one whose L1
+	// set count is no power of two, which an L1 cannot place. So is one with
 	// more clusters than a probe mask holds. So is a machine whose CPUs
 	// do not fit its placement: eight stacked CPUs on two pillars of two
 	// layers. So is an unknown benchmark. Each would otherwise fail in a
@@ -675,6 +676,7 @@ func TestBadRequests(t *testing.T) {
 		"bogus":         `{"scheme":"dnuca3d","dtm_policy":"bogus"}`,
 		"9/4":           `{"scheme":"dnuca3d","dtm_policy":"duty","duty_cycle":"9/4"}`,
 		"L1Ways":        configBody(func(c *config.Config) { c.L1Ways = 3 }),
+		"L1Sets":        configBody(func(c *config.Config) { c.L1Sets = 100 }),
 		"Clusters":      configBody(func(c *config.Config) { c.L2.Clusters = 128 }),
 		"placement":     `{"scheme":"dnuca3d","pillars":2,"stack_cpus":true}`,
 		"nosuch":        `{"benchmark":"nosuch"}`,

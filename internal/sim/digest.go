@@ -5,7 +5,7 @@ import "repro/internal/digest"
 // DigestFold folds the engine's own state — cycle, event sequence
 // counter, and every pending event in the wheel, overflow heap, and
 // overdue list — into the engine lane. It runs from a digest ticker,
-// i.e. after the current cycle's bucket has been drained and cleared,
+// i.e. after the current cycle's bucket has been drained and emptied,
 // so the scan observes exactly the events still scheduled for future
 // cycles. Event handlers are not folded (they are host addresses, not
 // simulator state); ordering and timing are pinned by (at, seq, kind).

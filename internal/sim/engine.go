@@ -134,26 +134,6 @@ func (e *Engine) SetProfiler(r *prof.Recorder, eventPhase func(kind uint8) prof.
 	}
 }
 
-// schedule inserts an event at its cycle.
-func (e *Engine) schedule(ev event) {
-	switch {
-	case ev.at == e.cycle && !e.drained:
-		// Fires later this Step (scheduled from an event callback) or at
-		// the start of the next one (scheduled between Steps); either way
-		// the bucket for the current cycle has not been drained yet.
-		e.buckets[ev.at&wheelMask] = append(e.buckets[ev.at&wheelMask], ev)
-		e.inWheel++
-	case ev.at <= e.cycle:
-		// This cycle's drain already ran; fire first thing next Step.
-		e.overdue = append(e.overdue, ev)
-	case ev.at-e.cycle < wheelSize:
-		e.buckets[ev.at&wheelMask] = append(e.buckets[ev.at&wheelMask], ev)
-		e.inWheel++
-	default:
-		e.pushOverflow(ev)
-	}
-}
-
 // AfterEvent schedules a typed event delay cycles from now: h.HandleEvent
 // (kind, data) runs at that cycle, after every event scheduled earlier for
 // it. Called from an event handler, a delay of 0 runs later in the same
@@ -162,9 +142,43 @@ func (e *Engine) schedule(ev event) {
 // closure, so it allocates nothing once the wheel's bucket slices have
 // grown to steady-state capacity; data should be a pointer (storing a
 // pointer in an interface does not allocate).
+//
+// The event is written field by field into its queue slot rather than
+// built as a value and copied in: the copy reloads the just-stored fields
+// with wider loads than stored them, which stalls store-to-load
+// forwarding on every scheduled event.
 func (e *Engine) AfterEvent(delay uint64, h Handler, kind uint8, data any) {
 	e.seq++
-	e.schedule(event{at: e.cycle + delay, seq: e.seq, h: h, kind: kind, data: data})
+	at := e.cycle + delay
+	var q *[]event
+	switch {
+	case at == e.cycle && !e.drained:
+		// Fires later this Step (scheduled from an event callback) or at
+		// the start of the next one (scheduled between Steps); either way
+		// the bucket for the current cycle has not been drained yet.
+		q = &e.buckets[at&wheelMask]
+		e.inWheel++
+	case at <= e.cycle:
+		// This cycle's drain already ran; fire first thing next Step.
+		q = &e.overdue
+	case at-e.cycle < wheelSize:
+		q = &e.buckets[at&wheelMask]
+		e.inWheel++
+	default:
+		e.pushOverflow(event{at: at, seq: e.seq, h: h, kind: kind, data: data})
+		return
+	}
+	// Reslicing over a fired slot, rather than appending a zero event,
+	// writes each field once.
+	b := *q
+	if len(b) < cap(b) {
+		b = b[:len(b)+1]
+	} else {
+		b = append(b, event{})
+	}
+	*q = b
+	ev := &b[len(b)-1]
+	ev.at, ev.seq, ev.h, ev.kind, ev.data = at, e.seq, h, kind, data
 }
 
 // Pending returns the number of queued events.
@@ -219,24 +233,33 @@ func (e *Engine) Step() {
 		// same-cycle reschedules land there.
 		for i := 0; i < len(e.overdue); i++ {
 			ev := &e.overdue[i]
-			ev.h.HandleEvent(ev.kind, ev.data)
+			kind := ev.kind
+			ev.h.HandleEvent(kind, ev.data)
 			if p != nil {
-				last = e.recordEvent(p, ev, last)
+				last = e.recordEvent(p, kind, last)
 			}
 		}
 		clear(e.overdue)
 		e.overdue = e.overdue[:0]
 	}
+	// Each event is fired through a pointer into its bucket, reading only
+	// the three fields the call needs, and the bucket is re-indexed after
+	// every call: firing may append to it and reallocate.
 	slot := e.cycle & wheelMask
 	for i := 0; i < len(e.buckets[slot]); i++ {
-		ev := e.buckets[slot][i] // copy: firing may append and reallocate
-		ev.h.HandleEvent(ev.kind, ev.data)
+		ev := &e.buckets[slot][i]
+		kind := ev.kind
+		ev.h.HandleEvent(kind, ev.data)
 		e.inWheel--
 		if p != nil {
-			last = e.recordEvent(p, &ev, last)
+			last = e.recordEvent(p, kind, last)
 		}
 	}
-	clear(e.buckets[slot])
+	// The fired events are not cleared: a slot's payload pointers stay
+	// reachable until AfterEvent reuses the slot. That retention is
+	// bounded by the wheel's total bucket capacity, which stops growing
+	// in steady state, and skipping the clear saves a pointer-aware
+	// memclr per drained bucket.
 	e.buckets[slot] = e.buckets[slot][:0]
 	e.drained = true
 	for ti, t := range e.tickers {
@@ -253,11 +276,11 @@ func (e *Engine) Step() {
 }
 
 // recordEvent attributes the wall time since the previous reading to the
-// just-fired event's phase and returns the new reading. Chaining readings
-// costs one clock call per event instead of two.
-func (e *Engine) recordEvent(p *prof.Recorder, ev *event, last time.Time) time.Time {
+// just-fired event kind's phase and returns the new reading. Chaining
+// readings costs one clock call per event instead of two.
+func (e *Engine) recordEvent(p *prof.Recorder, kind uint8, last time.Time) time.Time {
 	now := time.Now()
-	p.Record(e.classifyEv(ev.kind), now.Sub(last).Nanoseconds())
+	p.Record(e.classifyEv(kind), now.Sub(last).Nanoseconds())
 	return now
 }
 

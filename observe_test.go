@@ -15,11 +15,11 @@ import (
 	nim "repro"
 )
 
-// newSim builds a simulation of cfg running mgrid on every core, requests
-// in before Start, then warms and starts it.
-func newSim(t testing.TB, cfg nim.Config, seed uint64, in nim.Instruments) *nim.Simulation {
+// newSim builds a simulation of cfg running the named benchmark on every
+// core, requests in before Start, then warms and starts it.
+func newSim(t testing.TB, cfg nim.Config, benchmark string, seed uint64, in nim.Instruments) *nim.Simulation {
 	t.Helper()
-	bench, _ := nim.BenchmarkByName("mgrid", cfg.NumCPUs)
+	bench, _ := nim.BenchmarkByName(benchmark, cfg.NumCPUs)
 	sim, err := nim.NewSimulation(cfg, bench, seed)
 	if err == nil {
 		err = sim.Instrument(in)
@@ -36,7 +36,7 @@ func newSim(t testing.TB, cfg nim.Config, seed uint64, in nim.Instruments) *nim.
 // observability tests all measure the same steady state.
 func observedSim(t testing.TB) *nim.Simulation {
 	t.Helper()
-	sim := newSim(t, nim.DefaultConfig(nim.CMPDNUCA3D), 7, nim.Instruments{})
+	sim := newSim(t, nim.DefaultConfig(nim.CMPDNUCA3D), "mgrid", 7, nim.Instruments{})
 	sim.Run(10_000)
 	sim.ResetStats()
 	return sim
@@ -357,7 +357,7 @@ type instrumentedRun struct {
 
 func (ir instrumentedRun) results(t testing.TB) nim.Results {
 	t.Helper()
-	sim := newSim(t, ir.cfg, 3, ir.in)
+	sim := newSim(t, ir.cfg, "mgrid", 3, ir.in)
 	sim.Run(5_000)
 	sim.ResetStats()
 	if ir.tracer {

@@ -8,7 +8,9 @@
 #                                    the historical default machine (the
 #                                    headline and the regression gate's
 #                                    anchor); "stacked" the 4-layer
-#                                    stacked-CPU machine
+#                                    stacked-CPU machine; "snuca" static
+#                                    CMP-SNUCA-3D on equake, where the
+#                                    cores and the engine dominate
 #   BenchmarkEventQueue/*          — engine event queue: legacy heap vs
 #                                    the typed-event wheel ("wheel-typed")
 #   BenchmarkDTMOverhead/*         — thermal-management loop: detached vs
