@@ -7,12 +7,12 @@
 //	nimsim -scheme dnuca3d -bench mgrid
 //	nimsim -scheme snuca3d -bench swim -layers 4 -measure 500000
 //	nimsim -scheme dnuca3d -bench art -pillars 2
+//	nimsim -scheme dnuca3d -bench art,mgrid
 //	nimsim -scheme dnuca3d -bench mgrid -trace trace.json -metrics m.csv
 //	nimsim -scheme dnuca3d -bench mgrid -breakdown -spans spans.json
 package main
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -34,7 +34,6 @@ func main() {
 	opts := machineOpts{scheme: "dnuca3d", bench: "mgrid", seed: 1}
 	opts.register(flag.CommandLine)
 	var (
-		mix      = flag.String("mix", "", "multiprogrammed mix: comma-separated benchmarks, one per core (cycled)")
 		traceIn  = flag.String("replay", "", "replay trace files instead of synthetic workloads: comma-separated, one per core (cycled)")
 		asJSON   = flag.Bool("json", false, "emit the results as JSON instead of text")
 		heatmap  = flag.Bool("heatmap", false, "print per-layer router utilization maps")
@@ -106,13 +105,13 @@ func main() {
 	if *diverge != "" {
 		// The two runs are plain runner jobs on one benchmark: no mix,
 		// replay or tracer, and no report but the diverge report.
-		refuse("diverge", "mix", "replay", "metrics", "trace", "spans", "breakdown",
+		refuse("diverge", "replay", "metrics", "trace", "spans", "breakdown",
 			"profile", "proftrace", "heatmap", "buses", "tmap")
 		runDiverge(opts, *diverge, *warm, *measure, *tinter, wantThermal, *digestIv, *asJSON)
 		return
 	}
 
-	sim, err := buildSimulation(cfg, cmp.Or(*mix, opts.bench), *traceIn, opts.seed)
+	sim, err := buildSimulation(cfg, opts.bench, *traceIn, opts.seed)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -314,7 +313,7 @@ type machineOpts struct {
 // defaults.
 func (o *machineOpts) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.scheme, "scheme", o.scheme, "scheme: dnuca, dnuca2d, snuca3d, dnuca3d")
-	fs.StringVar(&o.bench, "bench", o.bench, "SPEC OMP benchmark name")
+	fs.StringVar(&o.bench, "bench", o.bench, "SPEC OMP benchmark name, or a comma-separated multiprogrammed mix, one per core (cycled; not with -diverge)")
 	fs.Uint64Var(&o.seed, "seed", o.seed, "deterministic seed")
 	fs.IntVar(&o.Layers, "layers", o.Layers, "override layer count (3D schemes)")
 	fs.IntVar(&o.Pillars, "pillars", o.Pillars, "override pillar count")

@@ -66,26 +66,22 @@ func main() {
 		cpuAt[c] = i
 	}
 
-	for l := 0; l < top.Dim.Layers; l++ {
-		fmt.Printf("\nlayer %d (P pillar, 0-9a-f CPU, + both, . bank):\n", l)
-		for y := 0; y < top.Dim.Height; y++ {
-			for x := 0; x < top.Dim.Width; x++ {
-				id, hasCPU := cpuAt[geom.Coord{X: x, Y: y, Layer: l}]
-				hasPillar := pillarAt[[2]int{x, y}]
-				switch {
-				case hasCPU && hasPillar:
-					fmt.Print("+")
-					_ = id
-				case hasCPU:
-					fmt.Printf("%x", id)
-				case hasPillar:
-					fmt.Print("P")
-				default:
-					fmt.Print(".")
-				}
-			}
-			fmt.Println()
+	// Validate allows at most 16 CPUs, so every id is one hex digit.
+	err = geom.WriteLayerMaps(os.Stdout, top.Dim, "\nlayer %d (P pillar, 0-9a-f CPU, + both, . bank):\n", func(c geom.Coord) byte {
+		id, hasCPU := cpuAt[c]
+		hasPillar := pillarAt[[2]int{c.X, c.Y}]
+		switch {
+		case hasCPU && hasPillar:
+			return '+'
+		case hasCPU:
+			return "0123456789abcdef"[id]
+		case hasPillar:
+			return 'P'
 		}
+		return '.'
+	})
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("\nquality:\n")

@@ -280,12 +280,3 @@ func (b *Bank) Set(i int) *Set { return &b.sets[i] }
 
 // NumSets returns the number of sets.
 func (b *Bank) NumSets() int { return len(b.sets) }
-
-// ValidLines counts valid entries across the bank.
-func (b *Bank) ValidLines() int {
-	n := 0
-	for i := range b.sets {
-		n += b.sets[i].ValidCount()
-	}
-	return n
-}

@@ -215,8 +215,8 @@ func TestBank(t *testing.T) {
 		t.Fatalf("NumSets = %d", b.NumSets())
 	}
 	b.Set(3).Insert(7)
-	if b.ValidLines() != 1 {
-		t.Fatalf("ValidLines = %d", b.ValidLines())
+	if n := b.Set(3).ValidCount(); n != 1 {
+		t.Fatalf("ValidCount = %d", n)
 	}
 	if _, ok := b.Set(3).Lookup(7); !ok {
 		t.Fatal("inserted line not found")

@@ -114,17 +114,6 @@ func (t *TagArray) Invalidate(i int, tag uint64) bool {
 	return ok
 }
 
-// MarkDirty sets the dirty bit of tag in set i, reporting whether it was
-// present. Replacement state is left alone.
-func (t *TagArray) MarkDirty(i int, tag uint64) bool {
-	r := t.set(i)
-	w, ok := find(r, tag)
-	if ok {
-		r[recDirty] |= 1 << w
-	}
-	return ok
-}
-
 // DigestFold folds the array word for word as Bank.DigestFold folds a
 // bank of the same geometry whose entries were filled by Set.Insert and
 // changed only in their Dirty bit: the bank's Reads and Writes (zero),

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 )
@@ -242,10 +243,10 @@ func TestTopologyStacked(t *testing.T) {
 }
 
 // TestTopologyPlacesEveryCPU sweeps the machine shapes Validate accepts:
-// each must either be refused by NewTopology or get one distinct in-mesh
-// node per CPU. Stacking more CPUs than pillars × layers passes Validate,
-// so NewTopology is what must refuse it: NewSystem indexes the placement
-// by CPU.
+// each must either be refused by NewTopology or be a real machine (see
+// checkTopology). Stacking more CPUs than pillars × layers passes
+// Validate, so NewTopology is what must refuse it: NewSystem indexes the
+// placement by CPU.
 func TestTopologyPlacesEveryCPU(t *testing.T) {
 	for _, scheme := range []Scheme{CMPDNUCA, CMPDNUCA2D, CMPSNUCA3D, CMPDNUCA3D} {
 		for ncpu := 1; ncpu <= 16; ncpu++ {
@@ -257,7 +258,7 @@ func TestTopologyPlacesEveryCPU(t *testing.T) {
 						if c.Validate() != nil {
 							continue
 						}
-						checkPlacesEveryCPU(t, c)
+						checkTopology(t, c)
 					}
 				}
 			}
@@ -265,10 +266,13 @@ func TestTopologyPlacesEveryCPU(t *testing.T) {
 	}
 }
 
-func checkPlacesEveryCPU(t *testing.T, c Config) {
+// checkTopology builds c's topology and reports whether NewTopology
+// accepted it. An accepted machine is real: one distinct in-mesh node per
+// CPU, and its pillars at distinct positions inside the layer.
+func checkTopology(t *testing.T, c Config) (accepted bool) {
 	t.Helper()
-	name := fmt.Sprintf("%v cpus=%d pillars=%d layers=%d stack=%v",
-		c.Scheme, c.NumCPUs, c.NumPillars, c.Layers, c.StackCPUs)
+	name := fmt.Sprintf("%v cpus=%d pillars=%d layers=%d L2=%dMB stack=%v",
+		c.Scheme, c.NumCPUs, c.NumPillars, c.Layers, c.L2.TotalBytes()>>20, c.StackCPUs)
 	defer func() {
 		if r := recover(); r != nil {
 			t.Errorf("%s: NewTopology panicked: %v", name, r)
@@ -276,7 +280,7 @@ func checkPlacesEveryCPU(t *testing.T, c Config) {
 	}()
 	top, err := NewTopology(c)
 	if err != nil {
-		return
+		return false
 	}
 	if len(top.CPUs) != c.NumCPUs {
 		t.Errorf("%s: placed %d CPUs", name, len(top.CPUs))
@@ -287,6 +291,76 @@ func checkPlacesEveryCPU(t *testing.T, c Config) {
 			t.Errorf("%s: CPU at %v is outside the mesh or shares a node", name, cpu)
 		}
 		seen[cpu] = true
+	}
+	clear(seen)
+	for _, p := range top.Pillars {
+		if !top.Dim.Contains(p) || p.Layer != 0 || seen[p] {
+			t.Errorf("%s: pillar at %v is outside the layer or shares a position", name, p)
+			break
+		}
+		seen[p] = true
+	}
+	return true
+}
+
+// TestTopologyRejectsUnfitPillars: a pillar count with no pw x ph grid on
+// the layer is refused by name, instead of stacking pillars in one column.
+// The refusal costs no more for 2^40 pillars than for 17: the grid search
+// is bounded by the layer, not by the count, so a deadline turns a
+// regression into a failure rather than a hang.
+func TestTopologyRejectsUnfitPillars(t *testing.T) {
+	for _, tc := range []struct {
+		layers, pillars int
+	}{
+		{2, 17},      // prime, taller than the 16x8 layer
+		{4, 11},      // prime, wider and taller than the 8x8 layer
+		{2, 1 << 40}, // a power of two, far past the 16x8 layer's 128 nodes
+	} {
+		c := Default(CMPDNUCA3D)
+		c.Layers, c.NumPillars = tc.layers, tc.pillars
+		done := make(chan error, 1)
+		go func() {
+			_, err := NewTopology(c)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			want := fmt.Sprintf("cannot fit %d pillars", tc.pillars)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%d pillars on %d layers: NewTopology = %v, want an error naming %q",
+					tc.pillars, tc.layers, err, want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%d pillars on %d layers: NewTopology did not return within 1s", tc.pillars, tc.layers)
+		}
+	}
+}
+
+// TestOverridesBuildRealMachines sweeps every machine the overrides can
+// name over the paper's axes (scheme, layers, L2 size, stacking) and 1 to
+// 300 pillars: each must be refused or real (see checkTopology).
+func TestOverridesBuildRealMachines(t *testing.T) {
+	accepted := 0
+	for _, scheme := range []string{"dnuca", "dnuca2d", "snuca3d", "dnuca3d"} {
+		for _, layers := range []int{0, 1, 2, 4, 8, 16} {
+			for _, l2 := range []int{0, 32, 64} {
+				for _, stack := range []bool{false, true} {
+					for pillars := 1; pillars <= 300; pillars++ {
+						o := Overrides{Layers: layers, Pillars: pillars, L2MB: l2, StackCPUs: stack}
+						c, err := o.Build(scheme)
+						if err != nil {
+							t.Fatalf("%s %+v: %v", scheme, o, err)
+						}
+						if checkTopology(t, c) {
+							accepted++
+						}
+					}
+				}
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no machine was accepted")
 	}
 }
 

@@ -34,25 +34,15 @@ func (s *System) WriteHeatmap(w io.Writer) {
 	}
 
 	fmt.Fprintf(w, "router utilization (max %d flits; C = CPU node, P = pillar-only node)\n", max)
-	for l := 0; l < dim.Layers; l++ {
-		fmt.Fprintf(w, "layer %d:\n", l)
-		for y := 0; y < dim.Height; y++ {
-			for x := 0; x < dim.Width; x++ {
-				c := geom.Coord{X: x, Y: y, Layer: l}
-				switch {
-				case cpuAt[c]:
-					fmt.Fprint(w, "C")
-				case pillarAt[[2]int{x, y}]:
-					fmt.Fprint(w, "P")
-				default:
-					f := s.Fab.Router(c).ForwardedFlits
-					idx := int(uint64(len(shades)-1) * f / max)
-					fmt.Fprintf(w, "%c", shades[idx])
-				}
-			}
-			fmt.Fprintln(w)
+	geom.WriteLayerMaps(w, dim, "layer %d:\n", func(c geom.Coord) byte {
+		switch {
+		case cpuAt[c]:
+			return 'C'
+		case pillarAt[[2]int{c.X, c.Y}]:
+			return 'P'
 		}
-	}
+		return shades[uint64(len(shades)-1)*s.Fab.Router(c).ForwardedFlits/max]
+	})
 }
 
 // BusReport summarizes each pillar bus: flits carried and utilization over

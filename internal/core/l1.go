@@ -56,8 +56,3 @@ func (c *l1) install(a cache.LineAddr, modified bool) {
 func (c *l1) invalidate(a cache.LineAddr) bool {
 	return c.tags.Invalidate(c.place(a))
 }
-
-// upgrade promotes a present line to M, reporting whether it was present.
-func (c *l1) upgrade(a cache.LineAddr) bool {
-	return c.tags.MarkDirty(c.place(a))
-}

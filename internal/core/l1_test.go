@@ -52,20 +52,6 @@ func TestL1Invalidate(t *testing.T) {
 	}
 }
 
-func TestL1Upgrade(t *testing.T) {
-	c := newL1(512, 2)
-	c.install(7, false)
-	if !c.upgrade(7) {
-		t.Fatal("upgrade failed on present line")
-	}
-	if _, mod := c.lookup(7); !mod {
-		t.Fatal("line not Modified after upgrade")
-	}
-	if c.upgrade(8) {
-		t.Fatal("upgrade of absent line reported success")
-	}
-}
-
 func TestL1ReinstallMergesState(t *testing.T) {
 	c := newL1(512, 2)
 	c.install(5, true)
@@ -173,16 +159,6 @@ func (c *refL1) invalidate(a cache.LineAddr) bool {
 	return c.bank.Set(set).Invalidate(tag)
 }
 
-func (c *refL1) upgrade(a cache.LineAddr) bool {
-	set, tag := c.place(a)
-	s := c.bank.Set(set)
-	if way, ok := s.Lookup(tag); ok {
-		s.Way(way).Dirty = true
-		return true
-	}
-	return false
-}
-
 // foldOf returns the digest lane value that fold leaves on a fresh chain.
 func foldOf(fold func(*digest.Recorder)) uint64 {
 	r := digest.NewRecorder(1)
@@ -192,11 +168,11 @@ func foldOf(fold func(*digest.Recorder)) uint64 {
 }
 
 // TestL1MatchesReference drives the flat L1 and the Bank-backed reference
-// through the same seeded random lookups, installs, invalidations and
-// upgrades, at every associativity from 1 to 64 ways and at 1, 2 and 512
-// sets. After every step the return values, the hit and miss counters and
-// the digest folds must agree, so the flat array replaces, evicts and
-// digests exactly as the Bank did.
+// through the same seeded random lookups, installs and invalidations, at
+// every associativity from 1 to 64 ways and at 1, 2 and 512 sets. After
+// every step the return values, the hit and miss counters and the digest
+// folds must agree, so the flat array replaces, evicts and digests
+// exactly as the Bank did.
 func TestL1MatchesReference(t *testing.T) {
 	for _, sets := range []int{1, 2, 512} {
 		for ways := 1; ways <= cache.MaxWays; ways *= 2 {
@@ -210,7 +186,7 @@ func TestL1MatchesReference(t *testing.T) {
 					a := cache.LineAddr(rng.Intn(2*ways+1)*sets + rng.Intn(min(sets, 2)))
 					var got, want [2]bool
 					var op string
-					switch r := rng.Intn(20); {
+					switch r := rng.Intn(18); {
 					case r < 8:
 						op = "lookup"
 						got[0], got[1] = c.lookup(a)
@@ -222,12 +198,9 @@ func TestL1MatchesReference(t *testing.T) {
 						ref.install(a, mod)
 						set, _ := ref.place(a)
 						full = full || ref.bank.Set(set).ValidCount() == ways
-					case r < 18:
+					default:
 						op = "invalidate"
 						got[0], want[0] = c.invalidate(a), ref.invalidate(a)
-					default:
-						op = "upgrade"
-						got[0], want[0] = c.upgrade(a), ref.upgrade(a)
 					}
 					if got != want || c.Hits != ref.Hits || c.Misses != ref.Misses {
 						t.Fatalf("step %d: %s(%d) = %v, hits %d, misses %d; reference %v, %d, %d",

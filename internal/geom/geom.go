@@ -3,7 +3,10 @@
 // mesh of nodes, with vertical pillar positions shared by all layers.
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // Coord identifies a node in the 3D chip: a position (X, Y) within the 2D
 // mesh of a device layer, plus the layer index (0 = bottom).
@@ -67,6 +70,30 @@ func (d Dim) CoordOf(i int) Coord {
 	l := i / per
 	r := i % per
 	return Coord{X: r % d.Width, Y: r / d.Width, Layer: l}
+}
+
+// WriteLayerMaps renders one ASCII map per layer of d, bottom layer first:
+// title formatted with the layer index, then one line per row holding
+// cell's byte for each node of the row. The router-utilization,
+// temperature and placement maps all draw through it; each keeps its own
+// legend in title and its own rule in cell.
+func WriteLayerMaps(w io.Writer, d Dim, title string, cell func(Coord) byte) error {
+	line := make([]byte, d.Width+1)
+	line[d.Width] = '\n'
+	for l := 0; l < d.Layers; l++ {
+		if _, err := fmt.Fprintf(w, title, l); err != nil {
+			return err
+		}
+		for y := 0; y < d.Height; y++ {
+			for x := range d.Width {
+				line[x] = cell(Coord{X: x, Y: y, Layer: l})
+			}
+			if _, err := w.Write(line); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Direction identifies one of the router's physical channels in the mesh,

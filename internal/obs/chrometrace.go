@@ -55,12 +55,6 @@ const counterPID = 1 << 11
 // are far below 4096, so the packing cannot collide.
 func tidOf(x, y int) int { return x<<12 | y }
 
-// WriteChromeTrace exports events as Chrome trace-event JSON; it is
-// WriteChromeTraceMeta without metadata.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	return WriteChromeTraceMeta(w, events, TraceMeta{})
-}
-
 // WriteChromeTraceMeta exports events as Chrome trace-event JSON. Each
 // device layer becomes a "process" and each emitting node a "thread"
 // within it, so Perfetto groups activity spatially; the simulation cycle
@@ -70,8 +64,8 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 // per-CPU track under a synthetic "transactions" process, so a
 // transaction's lifetime reads as a Perfetto span chain rather than a
 // point. Events must be what a Sink received in order; the exporter sorts
-// by cycle to tolerate ring-buffer wrap seams. meta is embedded in the
-// trace's otherData section.
+// by cycle to tolerate ring-buffer wrap seams. A non-zero meta is embedded
+// in the trace's otherData section.
 func WriteChromeTraceMeta(w io.Writer, events []Event, meta TraceMeta) error {
 	sorted := make([]Event, len(events))
 	copy(sorted, events)

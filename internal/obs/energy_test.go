@@ -167,7 +167,7 @@ func TestThermalTrackerStepsAndReport(t *testing.T) {
 
 func TestThermalTrackerThreshold(t *testing.T) {
 	tt := NewThermalTracker(testDim(), thermal.DefaultParams(), testModel(), 10)
-	tt.SetThreshold(0) // everything is "hot"
+	tt.thresholdC = 0 // everything is "hot"
 	tt.Tick(0)
 	tt.Tick(10)
 	if r := tt.Report(); r.CyclesAboveThreshold != 10 {

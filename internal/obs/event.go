@@ -8,7 +8,7 @@
 //
 // With a probe attached, events flow into a Sink — normally the bounded
 // RingSink — and can be exported as Chrome trace-event JSON
-// (WriteChromeTrace) for visual scrubbing in Perfetto or chrome://tracing.
+// (WriteChromeTraceMeta) for visual scrubbing in Perfetto or chrome://tracing.
 // The interval side is Sampler: a sim.Ticker that snapshots counter
 // registries and gauge closures every N cycles into a TimeSeries with
 // CSV/JSON export.

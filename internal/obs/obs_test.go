@@ -67,7 +67,7 @@ func TestWriteChromeTraceRoundTrips(t *testing.T) {
 		{Cycle: 15, Kind: EvCohInval, X: 1, Y: 2, Layer: 1, ID: 0xbeef, A: 5},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
+	if err := WriteChromeTraceMeta(&buf, events, TraceMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {
@@ -108,13 +108,14 @@ func TestWriteChromeTraceRoundTrips(t *testing.T) {
 
 func TestSamplerIntervalsAndDeltas(t *testing.T) {
 	set := stats.NewSet()
-	set.Counter("hits") // registered before AddCounterSet so it gets a column
+	var hits stats.Counter
+	set.Register("hits", &hits) // registered before AddCounterSet so it gets a column
 	s := NewSampler(10)
 	s.AddCounterSet(set)
 	s.AddGauge("util", func(cycle uint64) float64 { return float64(cycle) / 100 })
 
 	for cycle := uint64(0); cycle <= 30; cycle++ {
-		set.Counter("hits").Add(2)
+		hits.Add(2)
 		s.Tick(cycle)
 	}
 	ts := s.Series()
@@ -148,7 +149,8 @@ func TestSamplerIntervalsAndDeltas(t *testing.T) {
 
 func TestSamplerCounterReset(t *testing.T) {
 	set := stats.NewSet()
-	c := set.Counter("n")
+	c := &stats.Counter{}
+	set.Register("n", c)
 	s := NewSampler(5)
 	s.AddCounterSet(set)
 	c.Add(7)
@@ -168,7 +170,8 @@ func TestSamplerCounterReset(t *testing.T) {
 
 func TestSamplerFirstTickPrimes(t *testing.T) {
 	set := stats.NewSet()
-	c := set.Counter("n")
+	c := &stats.Counter{}
+	set.Register("n", c)
 	c.Add(1_000_000) // pre-attach history that must not leak into row 0
 	s := NewSampler(10)
 	s.AddCounterSet(set)

@@ -245,7 +245,7 @@ func TestChromeTraceSpanTracks(t *testing.T) {
 
 	// Without metadata the otherData section stays absent.
 	buf.Reset()
-	if err := WriteChromeTrace(&buf, events[:1]); err != nil {
+	if err := WriteChromeTraceMeta(&buf, events[:1], TraceMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "otherData") {

@@ -7,7 +7,7 @@ import (
 
 // DefaultThermalThresholdC is the junction temperature above which the
 // tracker accumulates time-above-threshold — the conventional 85 C
-// throttling point, overridable with ThermalTracker.SetThreshold.
+// throttling point.
 const DefaultThermalThresholdC = 85.0
 
 // ThermalActor closes the control loop on the thermal pipeline: a policy
@@ -116,9 +116,6 @@ func (t *ThermalTracker) Grid() *thermal.Grid { return t.grid }
 
 // Interval returns the thermal step period in cycles.
 func (t *ThermalTracker) Interval() uint64 { return t.interval }
-
-// SetThreshold overrides the time-above-threshold temperature (C).
-func (t *ThermalTracker) SetThreshold(c float64) { t.thresholdC = c }
 
 // SetActor installs the control-loop hook invoked around every thermal
 // step (nil detaches it). With no actor the step path is unchanged.

@@ -169,17 +169,19 @@ func Edge(dim geom.Dim, ncpu int) []geom.Coord {
 // Pillars sit at cell centers, never on chip edges (for layers taller and
 // wider than 2), matching Section 3.3's guidance: far apart, but not on
 // the edges. The grid width pw is returned for layer-offset computations.
+// When no pw x ph grid fits on the layer, there are no pillars: the search
+// tries at most W widths, so a huge n costs no more than a small one.
 func PillarGrid(dim geom.Dim, n int) (pillars []geom.Coord, pw int) {
 	if n < 1 {
 		return nil, 1
 	}
-	bestPW, bestScore := 1, 1<<30
-	for w := 1; w <= n; w++ {
+	bestPW, bestScore := 0, 1<<30
+	for w := 1; w <= min(n, dim.Width); w++ {
 		if n%w != 0 {
 			continue
 		}
 		h := n / w
-		if w > dim.Width || h > dim.Height {
+		if h > dim.Height {
 			continue
 		}
 		cw, ch := dim.Width/w, dim.Height/h
@@ -197,6 +199,9 @@ func PillarGrid(dim geom.Dim, n int) (pillars []geom.Coord, pw int) {
 		if score < bestScore || (score == bestScore && squarer(w) < squarer(bestPW)) {
 			bestPW, bestScore = w, score
 		}
+	}
+	if bestPW == 0 {
+		return nil, 1
 	}
 	pw = bestPW
 	ph := n / pw

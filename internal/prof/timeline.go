@@ -6,7 +6,7 @@ import (
 )
 
 // Perfetto export of the host timeline. The existing Chrome-trace export
-// (obs.WriteChromeTrace) plots *simulated* time — cycles on the x axis;
+// (obs.WriteChromeTraceMeta) plots *simulated* time — cycles on the x axis;
 // this one plots *host* time: one "run" slice per Engine.Run window plus
 // counter tracks for throughput and the per-phase share, so a stall or a
 // throughput cliff in a long run is visible at a glance in
@@ -14,7 +14,7 @@ import (
 // alongside.
 
 // tlEvent is one Chrome-trace event; field tags follow the Trace Event
-// Format (the same subset obs.WriteChromeTrace emits).
+// Format (the same subset obs.WriteChromeTraceMeta emits).
 type tlEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`

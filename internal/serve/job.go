@@ -14,10 +14,10 @@ import (
 	"repro/internal/stats"
 )
 
-// JobRequest is the POST /jobs body. Either set Config to a complete
-// machine description, or name a Scheme and let the Table 4 defaults plus
-// the optional overrides build one. Omitted warm/measure windows default
-// to runner.DefaultWarmCycles and runner.DefaultMeasureCycles, as on the
+// JobRequest is the POST /jobs body. It names its machine as nimsim's
+// flags do: a Scheme (default dnuca3d) whose Table 4 defaults the
+// embedded overrides adjust. Omitted warm/measure windows default to
+// runner.DefaultWarmCycles and runner.DefaultMeasureCycles, as on the
 // command line; an explicit 0 is honored literally.
 type JobRequest struct {
 	Scheme    string `json:"scheme,omitempty"`
@@ -50,13 +50,8 @@ type JobRequest struct {
 	// submissions inherit it.
 	DigestVerify bool `json:"digest_verify,omitempty"`
 
-	// Overrides build the machine from Scheme (ignored when Config is
-	// given).
+	// Overrides build the machine from Scheme.
 	config.Overrides
-
-	// Config, when non-nil, is the complete machine description and
-	// takes the place of Scheme and the overrides.
-	Config *config.Config `json:"config,omitempty"`
 }
 
 // defaultSampleInterval is the sampling period, in cycles, of a job that
@@ -66,18 +61,9 @@ const defaultSampleInterval = 1000
 // buildJob normalizes a request into the runner job it describes, or
 // rejects it. The returned job carries no hook; the worker adds it.
 func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
-	var cfg config.Config
-	if req.Config != nil {
-		cfg = *req.Config
-	} else {
-		scheme := req.Scheme
-		if scheme == "" {
-			scheme = "dnuca3d"
-		}
-		var err error
-		if cfg, err = req.Overrides.Build(scheme); err != nil {
-			return runner.Job{}, err
-		}
+	cfg, err := req.Overrides.Build(cmp.Or(req.Scheme, "dnuca3d"))
+	if err != nil {
+		return runner.Job{}, err
 	}
 	j := runner.Job{
 		Config:        cfg,

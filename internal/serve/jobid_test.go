@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/runner"
 )
 
@@ -98,42 +97,6 @@ func TestJobIdentityFieldOrder(t *testing.T) {
 	}
 	if len(ids) != 1 {
 		t.Errorf("field order produced %d distinct job ids, want 1", len(ids))
-	}
-}
-
-// TestJobIdentityConfigRoundTrip pins config.CanonicalHash against the
-// two ways a machine reaches the server: named scheme (the server builds
-// the config) and explicit Config (the client ships one, typically after
-// a JSON round trip). The same machine must hash identically on both
-// paths, and a marshal/unmarshal cycle must not change the hash.
-func TestJobIdentityConfigRoundTrip(t *testing.T) {
-	s := New(Options{Workers: 1})
-	defer s.Close()
-
-	cfg := config.Default(config.CMPDNUCA3D)
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var round config.Config
-	if err := json.Unmarshal(b, &round); err != nil {
-		t.Fatal(err)
-	}
-	if config.CanonicalHash(cfg) != config.CanonicalHash(round) {
-		t.Fatal("CanonicalHash changed across a JSON round trip")
-	}
-
-	byScheme, err := s.buildJob(JobRequest{Scheme: "dnuca3d"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byConfig, err := s.buildJob(JobRequest{Config: &round})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jobID(byScheme) != jobID(byConfig) {
-		t.Errorf("scheme-built job %s != explicit-config job %s for the same machine",
-			jobID(byScheme), jobID(byConfig))
 	}
 }
 

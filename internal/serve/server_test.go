@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/config"
 )
 
 // tinyBody is a small but real job: a full 3D machine, short windows,
@@ -649,40 +647,32 @@ func TestBadRequests(t *testing.T) {
 	}
 	// Unknown fields are rejected, not ignored: a misspelled window would
 	// otherwise queue the default 250k-cycle run, and a retired field
-	// would be dropped without the client learning it is gone.
+	// would be dropped without the client learning it is gone. A full
+	// machine description is one: a request names its machine only by
+	// scheme and overrides.
 	// So are DTM strings that do not parse (the check Instrument runs):
 	// such a job would otherwise warm and settle a machine before failing.
-	// So is a complete config whose L1 associativity a set cannot hold:
-	// building that machine would panic in the worker. So is one whose L1
-	// set count is no power of two, which an L1 cannot place. So is one with
-	// more clusters than a probe mask holds. So is a machine whose CPUs
-	// do not fit its placement: eight stacked CPUs on two pillars of two
-	// layers. So is an unknown benchmark. Each would otherwise fail in a
-	// worker and stay in the registry as a cached failed job. A negative
+	// So is a machine whose CPUs do not fit its placement: eight stacked
+	// CPUs on two pillars of two layers. So is a pillar count with no grid
+	// on the layer: 17 on the default 16x8 layer, and 2^40, which the grid
+	// search must refuse without taking time or memory in proportion to
+	// it. So is an unknown benchmark. Each would otherwise fail in
+	// a worker and stay in the registry as a cached failed job. A negative
 	// override is refused by name too, instead of building the default
 	// machine and answering with the default job's cached results.
-	configBody := func(mutate func(*config.Config)) string {
-		cfg := config.Default(config.CMPDNUCA3D)
-		mutate(&cfg)
-		b, err := json.Marshal(JobRequest{Config: &cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
 	for field, body := range map[string]string{
-		"measure_cyles": `{"scheme":"dnuca3d","measure_cyles":1000}`,
-		"shards":        `{"scheme":"dnuca3d","shards":2}`,
-		"bogus":         `{"scheme":"dnuca3d","dtm_policy":"bogus"}`,
-		"9/4":           `{"scheme":"dnuca3d","dtm_policy":"duty","duty_cycle":"9/4"}`,
-		"L1Ways":        configBody(func(c *config.Config) { c.L1Ways = 3 }),
-		"L1Sets":        configBody(func(c *config.Config) { c.L1Sets = 100 }),
-		"Clusters":      configBody(func(c *config.Config) { c.L2.Clusters = 128 }),
-		"placement":     `{"scheme":"dnuca3d","pillars":2,"stack_cpus":true}`,
-		"nosuch":        `{"benchmark":"nosuch"}`,
-		"NumPillars":    `{"pillars":-1}`,
-		"Layers":        `{"layers":-2}`,
-		"L2 size":       `{"l2_mb":-16}`,
+		"measure_cyles":         `{"scheme":"dnuca3d","measure_cyles":1000}`,
+		"shards":                `{"scheme":"dnuca3d","shards":2}`,
+		"config":                `{"config":{}}`,
+		"bogus":                 `{"scheme":"dnuca3d","dtm_policy":"bogus"}`,
+		"9/4":                   `{"scheme":"dnuca3d","dtm_policy":"duty","duty_cycle":"9/4"}`,
+		"placement":             `{"scheme":"dnuca3d","pillars":2,"stack_cpus":true}`,
+		"17 pillars":            `{"pillars":17}`,
+		"1099511627776 pillars": `{"pillars":1099511627776}`,
+		"nosuch":                `{"benchmark":"nosuch"}`,
+		"NumPillars":            `{"pillars":-1}`,
+		"Layers":                `{"layers":-2}`,
+		"L2 size":               `{"l2_mb":-16}`,
 	} {
 		if resp, out := post(t, ts.URL+"/jobs", body); resp.StatusCode != http.StatusBadRequest ||
 			!strings.Contains(string(out), field) {

@@ -63,13 +63,8 @@ func (l *Latency) Mean() float64 {
 
 // Min returns the smallest sample observed. With no samples it returns 0,
 // which is indistinguishable from a true 0-cycle minimum — callers that
-// may see an empty accumulator should use MinOK (or check Count) instead.
+// may see an empty accumulator should check Count first.
 func (l *Latency) Min() uint64 { return l.min }
-
-// MinOK returns the smallest sample observed and whether any sample has
-// been recorded at all, disambiguating an empty accumulator from a true
-// 0-cycle minimum.
-func (l *Latency) MinOK() (uint64, bool) { return l.min, l.count > 0 }
 
 // Max returns the largest sample observed, or 0 with no samples.
 func (l *Latency) Max() uint64 { return l.max }
@@ -221,9 +216,9 @@ func (d *Dist) Reset() {
 }
 
 // Set is a named collection of counters, handy for dumping simulator
-// summaries in a stable order. Entries are either owned/registered
-// Counters or read-only closures (RegisterFunc) for derived counts that
-// exist only as computations.
+// summaries in a stable order. Entries are either Counters owned
+// elsewhere (Register) or read-only closures (RegisterFunc) for derived
+// counts that exist only as computations.
 type Set struct {
 	counters map[string]*Counter
 	funcs    map[string]func() uint64
@@ -232,16 +227,6 @@ type Set struct {
 // NewSet returns an empty counter set.
 func NewSet() *Set {
 	return &Set{counters: make(map[string]*Counter), funcs: make(map[string]func() uint64)}
-}
-
-// Counter returns the counter with the given name, creating it on first use.
-func (s *Set) Counter(name string) *Counter {
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
 }
 
 // Names returns all counter names in sorted order.

@@ -46,15 +46,12 @@ func TestLatencyBasics(t *testing.T) {
 
 // TestLatencyZeroSamples pins the zero-sample contract: Min() reports 0
 // with nothing observed (ambiguous by design, for callers that know the
-// accumulator is populated), while MinOK and String disambiguate an empty
+// accumulator is populated), while Count and String disambiguate an empty
 // accumulator from a true 0-cycle minimum.
 func TestLatencyZeroSamples(t *testing.T) {
 	var l Latency
-	if l.Min() != 0 || l.Max() != 0 {
-		t.Fatalf("empty: min=%d max=%d, want 0 0", l.Min(), l.Max())
-	}
-	if v, ok := l.MinOK(); ok || v != 0 {
-		t.Fatalf("empty MinOK = (%d, %v), want (0, false)", v, ok)
+	if l.Min() != 0 || l.Max() != 0 || l.Count() != 0 {
+		t.Fatalf("empty: min=%d max=%d count=%d, want 0 0 0", l.Min(), l.Max(), l.Count())
 	}
 	if got := l.String(); got != "n=0 (no samples)" {
 		t.Fatalf("empty String = %q", got)
@@ -62,23 +59,23 @@ func TestLatencyZeroSamples(t *testing.T) {
 
 	// A genuine 0-cycle sample must be reported as a real minimum.
 	l.Observe(0)
-	if v, ok := l.MinOK(); !ok || v != 0 {
-		t.Fatalf("after Observe(0): MinOK = (%d, %v), want (0, true)", v, ok)
+	if l.Min() != 0 || l.Count() != 1 {
+		t.Fatalf("after Observe(0): min=%d count=%d, want 0 1", l.Min(), l.Count())
 	}
 
 	// A later larger sample must not disturb the true 0 minimum, and a
 	// fresh accumulator seeing only large samples must not report 0.
 	l.Observe(7)
-	if v, _ := l.MinOK(); v != 0 {
+	if v := l.Min(); v != 0 {
 		t.Fatalf("min drifted to %d after larger sample", v)
 	}
 	var big Latency
 	big.Observe(9)
-	if v, ok := big.MinOK(); !ok || v != 9 {
-		t.Fatalf("MinOK = (%d, %v), want (9, true)", v, ok)
+	if big.Min() != 9 || big.Count() != 1 {
+		t.Fatalf("min=%d count=%d, want 9 1", big.Min(), big.Count())
 	}
 	big.Reset()
-	if _, ok := big.MinOK(); ok {
+	if big.Count() != 0 {
 		t.Fatal("Reset did not clear the sample count")
 	}
 }
@@ -251,9 +248,12 @@ func TestDist(t *testing.T) {
 
 func TestSet(t *testing.T) {
 	s := NewSet()
-	s.Counter("b").Add(2)
-	s.Counter("a").Inc()
-	s.Counter("b").Inc()
+	var a, b Counter
+	s.Register("b", &b)
+	s.Register("a", &a)
+	b.Add(2)
+	a.Inc()
+	b.Inc()
 	names := s.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Names = %v", names)
@@ -285,8 +285,11 @@ func TestSetRegister(t *testing.T) {
 
 func TestSetSnapshot(t *testing.T) {
 	s := NewSet()
-	s.Counter("b").Add(2)
-	s.Counter("a").Add(1)
+	var a, b Counter
+	s.Register("b", &b)
+	s.Register("a", &a)
+	b.Add(2)
+	a.Add(1)
 	derived := uint64(7)
 	s.RegisterFunc("c", func() uint64 { return derived })
 
@@ -303,7 +306,7 @@ func TestSetSnapshot(t *testing.T) {
 
 	// The snapshot is a copy: later counter movement must not show
 	// through it (the serving tier hands snapshots across goroutines).
-	s.Counter("a").Add(10)
+	a.Add(10)
 	derived = 100
 	if snap[0].Value != 1 || snap[2].Value != 7 {
 		t.Fatalf("snapshot mutated by later counter updates: %+v", snap)

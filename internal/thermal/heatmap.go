@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/geom"
@@ -26,32 +25,11 @@ func WriteHeatMap(w io.Writer, g *Grid, cpus []geom.Coord) error {
 	for _, c := range cpus {
 		cpuAt[c] = true
 	}
-	d := g.Dim()
-	for l := 0; l < d.Layers; l++ {
-		if _, err := fmt.Fprintf(w, "\nlayer %d (C = CPU):\n", l); err != nil {
-			return err
+	return geom.WriteLayerMaps(w, g.Dim(), "\nlayer %d (C = CPU):\n", func(c geom.Coord) byte {
+		if cpuAt[c] {
+			return 'C'
 		}
-		for y := 0; y < d.Height; y++ {
-			line := make([]byte, d.Width)
-			for x := 0; x < d.Width; x++ {
-				c := geom.Coord{X: x, Y: y, Layer: l}
-				if cpuAt[c] {
-					line[x] = 'C'
-					continue
-				}
-				idx := int((g.Temp(c) - p.MinC) / span * float64(len(heatShades)-1))
-				if idx < 0 {
-					idx = 0
-				}
-				if idx >= len(heatShades) {
-					idx = len(heatShades) - 1
-				}
-				line[x] = heatShades[idx]
-			}
-			if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		idx := int((g.Temp(c) - p.MinC) / span * float64(len(heatShades)-1))
+		return heatShades[min(max(idx, 0), len(heatShades)-1)]
+	})
 }

@@ -188,18 +188,13 @@ type TraceRing = obs.RingSink
 // NewTraceRing returns a ring sink holding up to capacity events.
 func NewTraceRing(capacity int) *TraceRing { return obs.NewRingSink(capacity) }
 
-// WriteChromeTrace exports trace events as Chrome trace-event JSON, which
-// chrome://tracing and Perfetto (ui.perfetto.dev) open directly.
-func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
-	return obs.WriteChromeTrace(w, events)
-}
-
 // TraceMeta is export-level metadata embedded in a written Chrome trace
 // (currently the capture buffer's drop count, marking partial traces).
 type TraceMeta = obs.TraceMeta
 
-// WriteChromeTraceMeta is WriteChromeTrace with trace metadata embedded in
-// the output's otherData section.
+// WriteChromeTraceMeta exports trace events as Chrome trace-event JSON,
+// which chrome://tracing and Perfetto (ui.perfetto.dev) open directly, with
+// a non-zero meta embedded in the output's otherData section.
 func WriteChromeTraceMeta(w io.Writer, events []TraceEvent, meta TraceMeta) error {
 	return obs.WriteChromeTraceMeta(w, events, meta)
 }

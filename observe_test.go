@@ -67,7 +67,7 @@ func TestAttachTracerEndToEnd(t *testing.T) {
 
 	// The export must round-trip through encoding/json and keep every event.
 	var buf bytes.Buffer
-	if err := nim.WriteChromeTrace(&buf, events); err != nil {
+	if err := nim.WriteChromeTraceMeta(&buf, events, nim.TraceMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Bad-input smoke test of the nimsim and experiments CLIs: build each
 # binary once, feed it every documented bad input, and assert each exits 1
-# with a "<command>:" message on stderr, nothing on stdout and no Go panic,
-# not even one the runner recovered and reported as "panicked". Then run
+# within 20 seconds with a "<command>:" message on stderr, nothing on
+# stdout and no Go panic, not even one the runner recovered and reported
+# as "panicked". Then run
 # a few valid nimsim invocations and check the files they write.
 # Runs in a temporary directory, so the missing replay file stays missing
 # and nothing is left behind.
@@ -23,7 +24,7 @@ FAIL=0
 run() {
   local cmd=$1 out code=0
   shift
-  ./"$cmd" "$@" >stdout.txt 2>stderr.txt || code=$?
+  timeout 20 ./"$cmd" "$@" >stdout.txt 2>stderr.txt || code=$?
   out=$(<stderr.txt)
   if [ "$code" -ne 1 ] || [ -s stdout.txt ] || ! grep -q "^$cmd: " <<<"$out" || grep -Eq 'panic:|panicked' <<<"$out"; then
     echo "cli_smoke: FAIL $cmd $* exited $code: $out" >&2
@@ -74,14 +75,18 @@ check -diverge seed=2 -dtm all -tinterval 0
 # them, on the one-shot and the -diverge paths.
 check -scheme dnuca3d -pillars 2 -stack
 check -diverge pillars=2,stack=true
+# A pillar count with no grid on the 16x8 layer is refused, at once even
+# when the count is 2^40.
+check -pillars 17
+check -pillars 1099511627776
 # A -diverge variant is checked before either run starts, and its keys are
 # the machine flags' names.
 check -diverge bench=nope
 check -diverge foo=1
 check -diverge dtm=all -tinterval 0
-# -diverge runs two plain jobs, so flags it cannot honour are refused, not
-# dropped.
-check -diverge seed=2 -mix art,mgrid
+# -diverge runs two plain jobs on one benchmark, so a mix is an unknown
+# benchmark, and flags it cannot honour are refused, not dropped.
+check -diverge seed=2 -bench art,mgrid
 check -diverge seed=2 -heatmap
 # -json owns stdout, so the reports that print ASCII there are refused.
 check -json -heatmap

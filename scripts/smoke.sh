@@ -7,7 +7,9 @@
 # ?wait=1 completion, the hit and GET /jobs/{id} — must hold the same
 # "results" member byte for byte, and the completion and the hit may
 # differ only in their "submits" line. Last, a job with an unknown
-# benchmark must be refused with 400 and registered nowhere. The daemon
+# benchmark, and one that ships a full machine "config" instead of a
+# scheme and overrides, must each be refused with 400 and registered
+# nowhere. The daemon
 # runs with -pprof on the next port: the profiler must answer there and
 # not on the job API's port, and a -pprof equal to -addr must be refused
 # with exit 2 before anything listens. Exercises
@@ -101,9 +103,14 @@ echo "smoke: submitting an unknown benchmark, expecting 400"
 CODE=$(curl -sS -o "$OUT/bad.json" -w '%{http_code}' -X POST "http://$ADDR/jobs?wait=1" -d '{"benchmark":"nosuch"}')
 [ "$CODE" = 400 ] || {
   echo "smoke: unknown benchmark answered $CODE, want 400: $(cat "$OUT/bad.json")" >&2; exit 1; }
+
+echo "smoke: submitting a full config member, expecting 400 naming it"
+CODE=$(curl -sS -o "$OUT/bad.json" -w '%{http_code}' -X POST "http://$ADDR/jobs?wait=1" -d '{"config":{}}')
+[ "$CODE" = 400 ] && grep -q config "$OUT/bad.json" || {
+  echo "smoke: config member answered $CODE, want 400 naming config: $(cat "$OUT/bad.json")" >&2; exit 1; }
 METRICS=$(curl -fsS "http://$ADDR/metrics")
 grep -q '^nimsim_jobs_submitted_total 1$' <<<"$METRICS" || {
-  echo "smoke: the refused job was registered (want nimsim_jobs_submitted_total 1)" >&2; exit 1; }
+  echo "smoke: a refused job was registered (want nimsim_jobs_submitted_total 1)" >&2; exit 1; }
 
 kill "$DAEMON"
 wait "$DAEMON" 2>/dev/null || true
