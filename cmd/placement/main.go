@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 
-	nim "repro"
 	"repro/internal/config"
 	"repro/internal/geom"
 	"repro/internal/placement"
@@ -24,8 +23,8 @@ import (
 
 func main() {
 	var (
-		layers  = flag.Int("layers", 2, "number of layers")
-		pillars = flag.Int("pillars", 8, "number of pillars")
+		layers  = flag.Int("layers", 0, "number of layers (0 = the scheme's default)")
+		pillars = flag.Int("pillars", 0, "number of pillars (0 = the scheme's default)")
 		cpus    = flag.Int("cpus", 8, "number of CPUs")
 		k       = flag.Int("k", 1, "Algorithm 1 offset distance")
 		stack   = flag.Bool("stack", false, "stack CPUs vertically")
@@ -33,20 +32,18 @@ func main() {
 	)
 	flag.Parse()
 
-	scheme := nim.CMPDNUCA3D
+	scheme := "dnuca3d"
 	if *edge {
-		scheme = nim.CMPDNUCA
+		scheme = "dnuca"
 	} else if *layers == 1 {
-		scheme = nim.CMPDNUCA2D
+		scheme = "dnuca2d"
 	}
-	cfg := nim.DefaultConfig(scheme)
-	if scheme.Is3D() {
-		cfg.Layers = *layers
+	cfg, err := config.Overrides{Layers: *layers, Pillars: *pillars, StackCPUs: *stack}.Build(scheme)
+	if err != nil {
+		fatal(err)
 	}
-	cfg.NumPillars = *pillars
 	cfg.NumCPUs = *cpus
 	cfg.OffsetK = *k
-	cfg.StackCPUs = *stack
 
 	top, err := config.NewTopology(cfg)
 	if err != nil {

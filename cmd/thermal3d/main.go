@@ -14,16 +14,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
-	nim "repro"
 	"repro/internal/config"
+	"repro/internal/geom"
 	"repro/internal/thermal"
 )
 
 func main() {
 	var (
 		layers  = flag.Int("layers", 0, "custom run: number of layers (0 = print Table 3)")
-		pillars = flag.Int("pillars", 8, "custom run: number of pillars")
+		pillars = flag.Int("pillars", 0, "custom run: number of pillars (0 = the scheme's default)")
 		k       = flag.Int("k", 1, "custom run: Algorithm 1 offset distance")
 		stack   = flag.Bool("stack", false, "custom run: stack CPUs vertically")
 		showMap = flag.Bool("map", false, "print per-layer heat maps")
@@ -31,19 +32,26 @@ func main() {
 	flag.Parse()
 
 	if *layers == 0 {
+		// Table 3 fixes every machine, so the custom-run flags would be
+		// dropped.
+		flag.Visit(func(f *flag.Flag) {
+			if slices.Contains([]string{"pillars", "k", "stack"}, f.Name) {
+				fatal(fmt.Errorf("-%s needs -layers (a custom run); Table 3 fixes its machines", f.Name))
+			}
+		})
 		printTable3(*showMap)
 		return
 	}
 
-	cfg := nim.DefaultConfig(nim.CMPDNUCA3D)
+	scheme := "dnuca3d"
 	if *layers == 1 {
-		cfg = nim.DefaultConfig(nim.CMPDNUCA2D)
-	} else {
-		cfg.Layers = *layers
+		scheme = "dnuca2d"
 	}
-	cfg.NumPillars = *pillars
+	cfg, err := config.Overrides{Layers: *layers, Pillars: *pillars, StackCPUs: *stack}.Build(scheme)
+	if err != nil {
+		fatal(err)
+	}
 	cfg.OffsetK = *k
-	cfg.StackCPUs = *stack
 	top, err := config.NewTopology(cfg)
 	if err != nil {
 		fatal(err)
@@ -56,40 +64,41 @@ func main() {
 	fmt.Printf("peak %.2f C   avg %.2f C   min %.2f C\n", p.PeakC, p.AvgC, p.MinC)
 
 	if *showMap {
-		if err := thermal.WriteHeatMap(os.Stdout, grid, top.CPUs); err != nil {
-			fatal(err)
+		writeHeatMap(grid, top.CPUs)
+	}
+}
+
+// printTable3 prints thermal.Table3 beside the paper's values and, with
+// showMap, each row's heat map.
+func printTable3(showMap bool) {
+	rows, err := thermal.Table3(thermal.DefaultParams())
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("%-24s %18s %18s %18s %8s\n", "Configuration", "Peak C (paper)", "Avg C (paper)", "Min C (paper)", "Iters")
+	for _, r := range rows {
+		warnIfDiverged(r.Name, r.Iters, r.Converged)
+		p := r.Profile
+		fmt.Printf("%-24s %8.2f (%7.2f) %8.2f (%7.2f) %8.2f (%7.2f) %8d\n",
+			r.Name, p.PeakC, r.PaperPeakC, p.AvgC, r.PaperAvgC, p.MinC, r.PaperMinC, r.Iters)
+	}
+	if showMap {
+		_, cfgs := thermal.Table3Configs()
+		for i, r := range rows {
+			// The row's topology, for where the CPUs sit on the map.
+			top, err := config.NewTopology(cfgs[i])
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Printf("\n== %s ==\n", r.Name)
+			writeHeatMap(r.Grid, top.CPUs)
 		}
 	}
 }
 
-// printTable3 reproduces the paper's Table 3 by solving each configuration
-// directly (rather than through nim.ThermalTable3), so the grids stay
-// available for the optional heat-map rendering.
-func printTable3(showMap bool) {
-	rows, cfgs := thermal.Table3Configs()
-	prm := thermal.DefaultParams()
-	fmt.Printf("%-24s %18s %18s %18s %8s\n", "Configuration", "Peak C (paper)", "Avg C (paper)", "Min C (paper)", "Iters")
-	grids := make([]*thermal.Grid, len(cfgs))
-	tops := make([]*config.Topology, len(cfgs))
-	for i, cfg := range cfgs {
-		top, err := config.NewTopology(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		g, iters, converged := thermal.SimulateGrid(top.Dim, top.CPUs, prm)
-		warnIfDiverged(rows[i].Name, iters, converged)
-		p := g.Profile()
-		fmt.Printf("%-24s %8.2f (%7.2f) %8.2f (%7.2f) %8.2f (%7.2f) %8d\n",
-			rows[i].Name, p.PeakC, rows[i].PaperPeakC, p.AvgC, rows[i].PaperAvgC, p.MinC, rows[i].PaperMinC, iters)
-		grids[i], tops[i] = g, top
-	}
-	if showMap {
-		for i := range grids {
-			fmt.Printf("\n== %s ==\n", rows[i].Name)
-			if err := thermal.WriteHeatMap(os.Stdout, grids[i], tops[i].CPUs); err != nil {
-				fatal(err)
-			}
-		}
+func writeHeatMap(g *thermal.Grid, cpus []geom.Coord) {
+	if err := thermal.WriteHeatMap(os.Stdout, g, cpus); err != nil {
+		fatal(err)
 	}
 }
 

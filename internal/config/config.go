@@ -272,6 +272,9 @@ func (c Config) Validate() error {
 	if !c.Scheme.Is3D() && c.Layers != 1 {
 		return fmt.Errorf("config: 2D scheme %v with %d layers", c.Scheme, c.Layers)
 	}
+	if c.Scheme == CMPDNUCA && c.StackCPUs {
+		return fmt.Errorf("config: StackCPUs on %v, whose CPUs sit on the chip edges", c.Scheme)
+	}
 	if c.NumCPUs < 1 || c.NumCPUs > 16 {
 		return fmt.Errorf("config: NumCPUs = %d (supported range 1..16)", c.NumCPUs)
 	}

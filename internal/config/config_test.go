@@ -78,6 +78,12 @@ func TestValidateRejects(t *testing.T) {
 	if c.Validate() == nil {
 		t.Error("0 CPUs must fail")
 	}
+	// The edge placement cannot stack CPUs, so the flag would be ignored.
+	c = Default(CMPDNUCA)
+	c.StackCPUs = true
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "StackCPUs") {
+		t.Errorf("StackCPUs on CMP-DNUCA: Validate = %v, want an error naming StackCPUs", err)
+	}
 	c = Default(CMPDNUCA3D)
 	c.MigrationThreshold = 0
 	if c.Validate() == nil {

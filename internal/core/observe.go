@@ -55,23 +55,24 @@ type Instruments struct {
 // registration order and the later ones read the earlier ones: thermal
 // (with the DTM controller on a managed machine), then digests, whose
 // walker folds the thermal grid, then the sampler, which carries the
-// thermal and digest columns. Requested before Start they attach at the
-// next ResetStats, so they cover exactly the measurement window;
-// requested after Start they attach at once. An observer already
-// attached stays as it is.
+// thermal columns. Requested before Start they attach at the next
+// ResetStats, so they cover exactly the measurement window; requested
+// after Start they attach at once. An observer already attached stays as
+// it is.
 //
 // Instrument attaches nothing and returns an error when the request
 // cannot be honoured: a managed machine with no thermal interval
 // requested or attached, or with DTM strings that do not parse
-// (CheckDTM), or thermal or digests requested once a sampler is attached
-// or pending, which would lose the sampler's columns.
+// (CheckDTM), or thermal requested once a sampler is attached or
+// pending, which would lose the sampler's thermal columns. Digests read
+// no other observer, so they may attach after the sampler.
 func (s *System) Instrument(in Instruments) error {
 	thermal := in.ThermalInterval > 0 || s.thermalT != nil || s.pending.ThermalInterval > 0
 	if err := CheckDTM(s.Cfg, thermal); err != nil {
 		return err
 	}
-	if (in.ThermalInterval > 0 || in.DigestInterval > 0) && (s.sampler != nil || s.pending.SampleInterval > 0) {
-		return fmt.Errorf("core: thermal and digest instruments must be requested before the sampler, which carries their columns")
+	if in.ThermalInterval > 0 && (s.sampler != nil || s.pending.SampleInterval > 0) {
+		return fmt.Errorf("core: the thermal instrument must be requested before the sampler, which carries its columns")
 	}
 	if in.RecordSpans && s.spans == nil {
 		s.spans = obs.NewSpanRecorder()
@@ -419,22 +420,6 @@ func (s *System) attachSampler(interval uint64) {
 		sm.AddGauge("t_hot_y", func(uint64) float64 { c, _ := tt.Hotspot(); return float64(c.Y) })
 		sm.AddGauge("t_hot_layer", func(uint64) float64 { c, _ := tt.Hotspot(); return float64(c.Layer) })
 		sm.AddGauge("t_hot_c", func(uint64) float64 { _, t := tt.Hotspot(); return t })
-	}
-
-	// Digest telemetry columns, present only when a digest recorder is
-	// attached (Instrument attaches it before the sampler, so the
-	// recorder ticks before the sampler reads it): the cumulative overall
-	// digest and the per-subsystem chains, truncated to float64's 53-bit
-	// mantissa (a diagnostic fingerprint for eyeballing when two sampled
-	// runs diverge, not the attestation value — Results.Digests carries
-	// the full 64 bits).
-	if dr := s.digestRec; dr != nil {
-		const mant53 = 1<<53 - 1
-		sm.AddGauge("digest", func(uint64) float64 { return float64(dr.Digest() & mant53) })
-		for l := 0; l < digest.NumLanes; l++ {
-			l := digest.Lane(l)
-			sm.AddGauge("digest_"+l.String(), func(uint64) float64 { return float64(dr.LaneValue(l) & mant53) })
-		}
 	}
 
 	s.Engine.Register(sm)

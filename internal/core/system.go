@@ -677,7 +677,7 @@ func (s *System) memArrive(t *txn) {
 		})
 	}
 	// Any surviving replicas are stale relative to the fresh fill.
-	s.invalidateReplicas(t.addr, s.memCtrls[maxInt(t.memCtrl, 0)], -1)
+	s.invalidateReplicas(t.addr, s.memCtrls[max(t.memCtrl, 0)], -1)
 	cl.install(t.addr, 1<<uint(t.cpu.id), t.excl)
 	// The line enters the home bank while a copy travels from the serving
 	// memory controller to the requesting core (evMemData recomputes the
@@ -861,14 +861,6 @@ func (s *System) CheckReplicaConsistency() error {
 		}
 	}
 	return nil
-}
-
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CheckSingleCopy verifies the L2-wide invariant that every authoritative

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -512,9 +513,11 @@ func TestShardedDeterminism(t *testing.T) {
 }
 
 // TestInstrumentSamplerLast pins the ordering rule Instrument owns: the
-// sampler carries the thermal and digest columns, so thermal or digests
-// requested once a sampler is pending (before Start) or attached (after)
-// is an error that attaches nothing, not a sampler missing its columns.
+// sampler carries the thermal columns, so thermal requested once a
+// sampler is pending (before Start) or attached (after) is an error that
+// attaches nothing, not a sampler missing its columns. Digests read no
+// other observer and the sampler carries no digest column, so digests
+// requested after the sampler attach.
 func TestInstrumentSamplerLast(t *testing.T) {
 	prof, _ := trace.ProfileByName("mgrid", 8)
 	for _, started := range []bool{false, true} {
@@ -525,8 +528,13 @@ func TestInstrumentSamplerLast(t *testing.T) {
 		errs := []error{s.Instrument(Instruments{SampleInterval: 1_000}),
 			s.Instrument(Instruments{ThermalInterval: 1_000}), s.Instrument(Instruments{DigestInterval: 1_000})}
 		s.ResetStats()
-		if errs[0] != nil || errs[1] == nil || errs[2] == nil || s.thermalT != nil || s.digestRec != nil || s.sampler == nil {
-			t.Errorf("started=%v: errors %v; want the late requests refused and only the sampler attached", started, errs)
+		if errs[0] != nil || errs[1] == nil || errs[2] != nil || s.thermalT != nil || s.digestRec == nil || s.sampler == nil {
+			t.Fatalf("started=%v: errors %v; want thermal refused, and the sampler and digests attached", started, errs)
+		}
+		for _, col := range s.sampler.Series().Header {
+			if strings.HasPrefix(col, "digest") {
+				t.Errorf("started=%v: sampler column %q", started, col)
+			}
 		}
 	}
 }

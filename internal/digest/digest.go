@@ -60,8 +60,8 @@ var laneNames = [NumLanes]string{
 	"cpu", "cache", "noc", "dtdma", "engine", "thermal", "dtm", "rng",
 }
 
-// String returns the lane's short name (used in reports, sampler
-// columns, and divergence diagnostics).
+// String returns the lane's short name (used in reports and divergence
+// diagnostics).
 func (l Lane) String() string {
 	if l < 0 || int(l) >= NumLanes {
 		return "unknown"
@@ -103,10 +103,9 @@ type LaneDigest struct {
 }
 
 // Report is the JSON-facing summary attached to Results.Digests. The
-// full snapshot stream stays in memory only (the bisector and the
-// serving tier's digest verification consume it); serializing thousands
-// of records into every Results blob would bloat the result cache for no
-// reader.
+// full snapshot stream stays in memory only (the bisector consumes it);
+// serializing thousands of records into every Results blob would bloat
+// the result cache for no reader.
 type Report struct {
 	// Interval is the snapshot period in cycles.
 	Interval uint64 `json:"interval"`
@@ -227,9 +226,6 @@ func (r *Recorder) Tick(cycle uint64) {
 // Records returns the snapshot stream (live slice; callers must not
 // mutate it).
 func (r *Recorder) Records() []Record { return r.stream }
-
-// Digest returns the current cumulative overall digest.
-func (r *Recorder) Digest() uint64 { return r.digest }
 
 // LaneValue returns lane l's current cumulative chain value.
 func (r *Recorder) LaneValue(l Lane) uint64 { return r.chains[l] }

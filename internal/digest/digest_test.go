@@ -77,8 +77,8 @@ func TestRecorderStream(t *testing.T) {
 			t.Errorf("records %d and %d share a digest despite differing state", i-1, i)
 		}
 	}
-	if rec.Digest() != recs[len(recs)-1].Digest {
-		t.Error("Recorder.Digest() != last record's digest")
+	if rec.Report().Digest != hex16(recs[len(recs)-1].Digest) {
+		t.Error("Report().Digest != last record's digest")
 	}
 	if rec.LaneValue(LaneCPU) != recs[len(recs)-1].Lanes[LaneCPU] {
 		t.Error("LaneValue(cpu) != last record's cpu chain")

@@ -159,7 +159,7 @@ func WriteChromeTraceMeta(w io.Writer, events []Event, meta TraceMeta) error {
 // "interval metrics" process. Open alongside an event trace to scrub
 // power, temperature, and rate metrics against individual events.
 func WriteCounterTrace(w io.Writer, ts *TimeSeries) error {
-	out := make([]traceEvent, 0, len(ts.Rows)*maxInt(len(ts.Header)-1, 0)+1)
+	out := make([]traceEvent, 0, len(ts.Rows)*max(len(ts.Header)-1, 0)+1)
 	out = append(out, traceEvent{
 		Name: "process_name", Phase: "M", PID: counterPID,
 		Args: map[string]any{"name": "interval metrics"},
@@ -178,12 +178,4 @@ func WriteCounterTrace(w io.Writer, ts *TimeSeries) error {
 		}
 	}
 	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"})
-}
-
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

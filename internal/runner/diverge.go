@@ -86,13 +86,11 @@ func Diverge(a, b Job, interval uint64) (*DivergeReport, error) {
 	// Refinement: state diverged in (CoarseCycle-interval, CoarseCycle].
 	// Rerun both jobs (deterministic, so they replay exactly), running
 	// undigested up to the last agreeing snapshot, then digest every
-	// cycle through the divergent one. The recorder attaches mid-window,
-	// after where a sampler would sit, so the reruns drop the sampler. They
-	// drop the caller's hook too: it saw the coarse pass, and the reruns'
-	// windows differ from what it expects.
+	// cycle through the divergent one. The reruns keep every observer of
+	// the coarse pass but the caller's hook: it saw the coarse pass, and
+	// the reruns' windows differ from what it expects.
 	fa, fb := a, b
 	fa.DigestInterval, fb.DigestInterval = 1, 1
-	fa.SampleInterval, fb.SampleInterval = 0, 0
 	fa.OnChunk, fb.OnChunk = nil, nil
 	start := uint64(0)
 	if div.Cycle >= a.WarmCycles+interval {

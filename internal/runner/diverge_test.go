@@ -61,9 +61,12 @@ func TestDivergeEqual(t *testing.T) {
 // TestDivergeSeedPerturbation: a perturbed seed makes the workloads
 // differ from the first warm cycle on, so the bisector must report a
 // divergence, refine it to an exact cycle no later than the first
-// coarse snapshot, and name a valid lane.
+// coarse snapshot, and name a valid lane. Both runs sample, and the
+// refinement reruns keep the sampler, whose digest recorder attaches
+// after it.
 func TestDivergeSeedPerturbation(t *testing.T) {
 	a := divergeBase()
+	a.SampleInterval = 500
 	b := a
 	b.Seed = 2
 	rep, err := Diverge(a, b, 1_000)

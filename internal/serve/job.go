@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/digest"
 	"repro/internal/prof"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -38,17 +37,6 @@ type JobRequest struct {
 	// nimsim_job_digest_info family.
 	core.Instruments
 	NoSamples bool `json:"no_samples,omitempty"`
-
-	// DigestVerify, when true (and DigestInterval non-zero), makes the
-	// worker rerun the job without the daemon's hook and profiler after
-	// the primary run and compare the two digest streams, publishing any
-	// mismatch as nimsim_job_digest_mismatch_cycle — a paid-for,
-	// on-demand audit that the observed, profiled primary run matched a
-	// plain one (it roughly doubles the job's cost). It is NOT part of
-	// the job identity (it changes no Results byte), so the flag on the
-	// submission that first registers the job wins; coalesced and cached
-	// submissions inherit it.
-	DigestVerify bool `json:"digest_verify,omitempty"`
 
 	// Overrides build the machine from Scheme.
 	config.Overrides
@@ -119,11 +107,7 @@ type job struct {
 
 	id         string
 	configHash string     // config.CanonicalHash(run.Config), from run.Identity
-	run        runner.Job // hook-free template; the worker adds OnChunk
-
-	// verify records the first submission's DigestVerify request; the
-	// worker acts on it after the primary run (see Server.runJob).
-	verify bool
+	run        runner.Job // hook-free template; the worker runs hooked()
 
 	state    string
 	fraction float64
@@ -136,11 +120,7 @@ type job struct {
 	counters []stats.NameValue
 	profile  *prof.Snapshot // latest host-side phase snapshot, nil until the first measurement chunk
 
-	digest        *digest.Report // final digest report, nil unless the job digested
-	verified      bool           // hook-free reference rerun completed and streams compared
-	mismatch      bool           // the reference comparison found a divergence
-	mismatchCycle uint64
-	mismatchLane  string
+	digest *DigestStatus // final digest summary, nil unless the job digested
 
 	// results is the job's Results, rendered once by the worker with the
 	// indentation writeJSON gives the status document's last member;
@@ -201,30 +181,14 @@ func (rec *job) observe(sys *core.System, fraction float64, measuring bool) {
 	rec.mu.Unlock()
 }
 
-// setDigest publishes the run's final digest report.
-func (rec *job) setDigest(rep *digest.Report) {
-	rec.mu.Lock()
-	rec.digest = rep
-	rec.mu.Unlock()
-}
-
-// setVerify publishes the outcome of the reference digest comparison
-// (see Server.verifyDigest).
-func (rec *job) setVerify(mismatch bool, cycle uint64, lane string) {
-	rec.mu.Lock()
-	rec.verified = true
-	rec.mismatch = mismatch
-	rec.mismatchCycle = cycle
-	rec.mismatchLane = lane
-	rec.mu.Unlock()
-}
-
-// finish publishes the rendered Results and flips the state to done.
-// The bytes are rendered exactly once and served verbatim from then on,
-// which is what makes a cache hit byte-identical to the first run.
-func (rec *job) finish(results []byte, now time.Time) {
+// finish publishes the rendered Results and the digest summary (nil for
+// an undigested job), and flips the state to done. The bytes are rendered
+// exactly once and served verbatim from then on, which is what makes a
+// cache hit byte-identical to the first run.
+func (rec *job) finish(results []byte, digest *DigestStatus, now time.Time) {
 	rec.mu.Lock()
 	rec.results = results
+	rec.digest = digest
 	rec.fraction = 1
 	rec.state = StateDone
 	rec.finished = now
@@ -259,21 +223,14 @@ type JobStatus struct {
 	Results    json.RawMessage `json:"results,omitempty"` // must stay last, where writeStatus splices it; TestStatusByteIdentity checks
 }
 
-// DigestStatus summarizes a digested job on the status API: the run's
-// final 64-bit state digest plus, when DigestVerify was requested, the
-// outcome of the comparison against a hook-free reference rerun.
+// DigestStatus summarizes a digested job on the status API and
+// /metrics: the run's final 64-bit state digest, its snapshot interval
+// and how many snapshots it took. The record keeps only this, not the
+// snapshot stream; runner.Diverge is the tool that compares streams.
 type DigestStatus struct {
 	Digest   string `json:"digest"`
 	Interval uint64 `json:"interval"`
 	Records  int    `json:"records"`
-	// Verified reports that the hook-free reference rerun completed and
-	// its digest stream was compared against the primary run's.
-	Verified bool `json:"verified,omitempty"`
-	// Mismatch, MismatchCycle, and MismatchLane report the comparison's
-	// first point of departure, present only when the streams differed.
-	Mismatch      bool   `json:"mismatch,omitempty"`
-	MismatchCycle uint64 `json:"mismatch_cycle,omitempty"`
-	MismatchLane  string `json:"mismatch_lane,omitempty"`
 }
 
 // status snapshots the record for the JSON API: the status document,
@@ -283,7 +240,7 @@ type DigestStatus struct {
 func (rec *job) status() (JobStatus, []byte) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	st := JobStatus{
+	return JobStatus{
 		ID:         rec.id,
 		State:      rec.state,
 		Fraction:   rec.fraction,
@@ -294,17 +251,6 @@ func (rec *job) status() (JobStatus, []byte) {
 		Created:    rec.created,
 		Rows:       len(rec.rows),
 		Error:      rec.errMsg,
-	}
-	if rec.digest != nil {
-		st.Digest = &DigestStatus{
-			Digest:        rec.digest.Digest,
-			Interval:      rec.digest.Interval,
-			Records:       rec.digest.Records,
-			Verified:      rec.verified,
-			Mismatch:      rec.mismatch,
-			MismatchCycle: rec.mismatchCycle,
-			MismatchLane:  rec.mismatchLane,
-		}
-	}
-	return st, rec.results
+		Digest:     rec.digest,
+	}, rec.results
 }

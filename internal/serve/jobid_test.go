@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/runner"
 )
@@ -100,10 +101,9 @@ func TestJobIdentityFieldOrder(t *testing.T) {
 	}
 }
 
-// TestDigestJobIdentity pins the identity rules for the digest fields:
+// TestDigestJobIdentity pins the identity rule for the digest field:
 // DigestInterval changes the Results bytes (the Digests report rides in
-// them), so it must split the cache; DigestVerify changes nothing a
-// client reads back, so it must not.
+// them), so it must split the cache.
 func TestDigestJobIdentity(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
@@ -123,24 +123,18 @@ func TestDigestJobIdentity(t *testing.T) {
 	if id(digested) == plain {
 		t.Error("digest_interval did not change the job id — digested and plain runs would share a cache entry")
 	}
-
-	verified := digested
-	verified.DigestVerify = true
-	if id(verified) != id(digested) {
-		t.Error("digest_verify changed the job id — verification is an audit, not a different run")
-	}
 }
 
-// TestDigestJobEndToEnd submits a digested, verified job and checks the
-// whole surface: the status API's digest summary, the Results payload,
-// and the /metrics digest families.
+// TestDigestJobEndToEnd submits a digested job and checks the whole
+// surface: the status API's digest summary, the Results payload, and the
+// /metrics digest family.
 func TestDigestJobEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 
 	body := `{
 		"scheme": "dnuca3d", "benchmark": "mgrid", "layers": 4, "stack_cpus": true,
 		"warm_cycles": 1000, "measure_cycles": 4000, "sample_interval": 500,
-		"seed": 5, "digest_interval": 500, "digest_verify": true
+		"seed": 5, "digest_interval": 500
 	}`
 	resp, out := post(t, ts.URL+"/jobs?wait=1", body)
 	if resp.StatusCode != http.StatusOK {
@@ -159,32 +153,58 @@ func TestDigestJobEndToEnd(t *testing.T) {
 	if len(st.Digest.Digest) != 16 || st.Digest.Interval != 500 || st.Digest.Records != 8 {
 		t.Errorf("digest summary wrong: %+v", st.Digest)
 	}
-	if !st.Digest.Verified {
-		t.Error("digest_verify requested but job not verified")
-	}
-	if st.Digest.Mismatch {
-		t.Errorf("hooked, profiled run mismatched its hook-free reference at cycle %d in %s — an observer perturbed the simulation",
-			st.Digest.MismatchCycle, st.Digest.MismatchLane)
-	}
 	if !strings.Contains(string(st.Results), `"Digests"`) {
 		t.Error("Results payload carries no Digests report")
 	}
 
 	_, metrics := get(t, ts.URL+"/metrics")
 	m := string(metrics)
-	if !strings.Contains(m, `nimsim_job_digest_info{job=`) ||
-		!strings.Contains(m, `digest="`+st.Digest.Digest+`"`) {
-		t.Errorf("/metrics missing nimsim_job_digest_info for digest %s:\n%s", st.Digest.Digest, m)
-	}
-	if !strings.Contains(m, `verified="true"`) {
-		t.Errorf("/metrics digest info not marked verified:\n%s", m)
+	info := `nimsim_job_digest_info{job="` + st.ID + `",digest="` + st.Digest.Digest + `",interval="500"} 1`
+	if !strings.Contains(m, info+"\n") {
+		t.Errorf("/metrics missing %s:\n%s", info, m)
 	}
 	// The daemon attaches no trace ring, so a dropped-event count could
 	// only ever read 0; the family is not exported.
 	if strings.Contains(m, "nimsim_job_dropped_events") {
 		t.Errorf("/metrics exports nimsim_job_dropped_events, which can only read 0:\n%s", m)
 	}
-	if strings.Contains(m, "nimsim_job_digest_mismatch_cycle{") {
-		t.Errorf("/metrics reports a digest mismatch for a matching run:\n%s", m)
+	// The daemon compares no digest streams (runner.Diverge does, and
+	// TestDigestObserveDoesNotPerturb runs it on the daemon's hook), so it
+	// exports no mismatch family.
+	if strings.Contains(m, "nimsim_job_digest_mismatch") {
+		t.Errorf("/metrics exports a digest mismatch family:\n%s", m)
+	}
+}
+
+// TestDigestObserveDoesNotPerturb is the daemon's side of the observer
+// contract: a job as a worker runs it, with a real record's observe hook
+// and the host profiler, must digest exactly as the hook-free template
+// does, snapshot for snapshot. The machine is TestDigestJobEndToEnd's.
+func TestDigestObserveDoesNotPerturb(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	var req JobRequest
+	body := `{"layers": 4, "stack_cpus": true, "warm_cycles": 1000, "measure_cycles": 4000,
+		"sample_interval": 500, "seed": 5}`
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := s.buildJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, configHash := plain.Identity()
+	rec := newJob(id, configHash, plain, time.Now())
+	rep, err := runner.Diverge(plain, rec.hooked(), 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Equal || rep.Records != 8 {
+		t.Fatalf("hooked, profiled run against its template: equal=%v over %d snapshots (want 8); first divergence at cycle %d in %s",
+			rep.Equal, rep.Records, rep.Cycle, rep.Lane)
+	}
+	if st, _ := rec.status(); st.Rows == 0 || rec.profile == nil || len(rec.counters) == 0 {
+		t.Errorf("the hook published %d rows, profile %v and %d counters; want all three",
+			st.Rows, rec.profile != nil, len(rec.counters))
 	}
 }

@@ -83,30 +83,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fraction float64
 		counters map[string]uint64
 		profile  *prof.Snapshot
-
-		digest        string // final 64-bit state digest (16 hex), "" if undigested
-		digestIval    uint64
-		verified      bool
-		mismatch      bool
-		mismatchCycle uint64
-		mismatchLane  string
+		digest   *DigestStatus // nil unless the job digested
 	}
 	rows := make([]jobRow, 0, len(recs))
 	for _, rec := range recs {
 		rec.mu.Lock()
-		jr := jobRow{id: rec.id, state: rec.state, fraction: rec.fraction, profile: rec.profile}
+		jr := jobRow{id: rec.id, state: rec.state, fraction: rec.fraction, profile: rec.profile, digest: rec.digest}
 		if len(rec.counters) > 0 {
 			jr.counters = make(map[string]uint64, len(rec.counters))
 			for _, nv := range rec.counters {
 				jr.counters[nv.Name] = nv.Value
 			}
 		}
-		if rec.digest != nil {
-			jr.digest = rec.digest.Digest
-			jr.digestIval = rec.digest.Interval
-		}
-		jr.verified, jr.mismatch = rec.verified, rec.mismatch
-		jr.mismatchCycle, jr.mismatchLane = rec.mismatchCycle, rec.mismatchLane
 		rec.mu.Unlock()
 		if jr.state == StateRunning {
 			running++
@@ -157,32 +145,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// State digests: the run's final 64-bit digest as a label (info-style
-	// metric, value always 1 — 64-bit digests do not fit a float64), plus
-	// the first mismatching cycle when a DigestVerify reference comparison
-	// found one.
+	// metric, value always 1 — 64-bit digests do not fit a float64).
 	fmt.Fprintf(&b, "# HELP nimsim_job_digest_info Final 64-bit state digest of each digested job as a label; the value is always 1.\n# TYPE nimsim_job_digest_info gauge\n")
 	for _, jr := range rows {
-		if jr.digest == "" {
+		if jr.digest == nil {
 			continue
 		}
-		fmt.Fprintf(&b, "nimsim_job_digest_info{job=%q,digest=%q,interval=\"%d\",verified=%q} 1\n",
-			jr.id, jr.digest, jr.digestIval, boolLabel(jr.verified))
-	}
-	fmt.Fprintf(&b, "# HELP nimsim_job_digest_mismatch_cycle First cycle where a DigestVerify reference comparison diverged, labeled with the offending subsystem.\n# TYPE nimsim_job_digest_mismatch_cycle gauge\n")
-	for _, jr := range rows {
-		if !jr.mismatch {
-			continue
-		}
-		fmt.Fprintf(&b, "nimsim_job_digest_mismatch_cycle{job=%q,lane=%q} %d\n", jr.id, jr.mismatchLane, jr.mismatchCycle)
+		fmt.Fprintf(&b, "nimsim_job_digest_info{job=%q,digest=%q,interval=\"%d\"} 1\n",
+			jr.id, jr.digest.Digest, jr.digest.Interval)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = fmt.Fprint(w, b.String())
-}
-
-func boolLabel(v bool) string {
-	if v {
-		return "true"
-	}
-	return "false"
 }

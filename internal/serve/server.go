@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/digest"
 	"repro/internal/runner"
 )
 
@@ -148,6 +147,20 @@ func (s *Server) worker() {
 	}
 }
 
+// hooked returns the job as a worker runs it: the record's template with
+// the observe hook and the host profiler attached. The profiler is
+// provably non-perturbing (Results stay bit-identical, see internal/prof),
+// so attaching it unconditionally adds per-phase wall-clock gauges to
+// /metrics without touching the job identity — a profiled run's cache
+// entry still answers any submission. TestDigestObserveDoesNotPerturb
+// holds this job's digest stream equal to the template's.
+func (rec *job) hooked() runner.Job {
+	j := rec.run
+	j.OnChunk = rec.observe
+	j.Profile = true
+	return j
+}
+
 // runJob executes one registered job on this worker goroutine, publishing
 // progress, sampled rows, and counter and profiler snapshots into the
 // record after every chunk (job.observe). The runner supplies panic/error
@@ -155,15 +168,7 @@ func (s *Server) worker() {
 // immutable.
 func (s *Server) runJob(rec *job) {
 	rec.setState(StateRunning)
-	j := rec.run
-	j.OnChunk = rec.observe
-	// Every job runs with the host profiler attached. The profiler is
-	// provably non-perturbing (Results stay bit-identical, see
-	// internal/prof), so attaching it unconditionally adds per-phase
-	// wall-clock gauges to /metrics without touching the job identity —
-	// a profiled run's cache entry still answers any submission.
-	j.Profile = true
-	res := runner.Run([]runner.Job{j}, 1)[0]
+	res := runner.Run([]runner.Job{rec.hooked()}, 1)[0]
 	if res.Err != nil {
 		s.m.failed.Add(1)
 		rec.fail(res.Err, time.Now())
@@ -178,36 +183,15 @@ func (s *Server) runJob(rec *job) {
 		rec.fail(fmt.Errorf("marshaling results: %w", err), time.Now())
 		return
 	}
-	if res.Results.Digests != nil {
-		rec.setDigest(res.Results.Digests)
-		s.verifyDigest(rec, res.Results.Digests)
+	var digest *DigestStatus
+	if d := res.Results.Digests; d != nil {
+		// The summary only: the snapshot stream goes with res.
+		digest = &DigestStatus{Digest: d.Digest, Interval: d.Interval, Records: d.Records}
 	}
 	s.m.completed.Add(1)
 	// The registry keeps these bytes for the daemon's lifetime; the clone
 	// drops the slack MarshalIndent allocates (cap is twice the compact size).
-	rec.finish(bytes.Clone(b), time.Now())
-}
-
-// verifyDigest is the DigestVerify rerun: the same job without the
-// primary run's hook and profiler. Its digest stream is compared against
-// the primary run's; a mismatch names the first divergent cycle and
-// subsystem on the status API and /metrics — the daemon catching an
-// observer that perturbed the simulation in production rather than in
-// CI. A failed rerun leaves the job unverified (the primary results
-// stand).
-func (s *Server) verifyDigest(rec *job, primary *digest.Report) {
-	if !rec.verify {
-		return
-	}
-	refRes := runner.Run([]runner.Job{rec.run}, 1)[0]
-	if refRes.Err != nil || refRes.Results.Digests == nil {
-		return
-	}
-	if div, ok := digest.Compare(primary.Stream, refRes.Results.Digests.Stream); ok {
-		rec.setVerify(true, div.Cycle, div.Lane.String())
-	} else {
-		rec.setVerify(false, 0, "")
-	}
+	rec.finish(bytes.Clone(b), digest, time.Now())
 }
 
 // handleSubmit is POST /jobs: normalize, hash, and either return the
@@ -266,7 +250,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec = newJob(id, configHash, run, time.Now())
-	rec.verify = req.DigestVerify && run.DigestInterval > 0
 	select {
 	case s.queue <- rec:
 	default:

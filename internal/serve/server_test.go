@@ -194,7 +194,7 @@ func TestStatusByteIdentity(t *testing.T) {
 	}{
 		{"done", tinyBody(11), StateDone, `"L2Hits"`},
 		{"digested", `{"warm_cycles":1000,"measure_cycles":4000,"sample_interval":500,
-			"seed":12,"digest_interval":500,"digest_verify":true}`, StateDone, `"Digests"`},
+			"seed":12,"digest_interval":500}`, StateDone, `"Digests"`},
 		{"thermal+dtm", `{"dtm_policy":"all","warm_cycles":1000,"measure_cycles":4000,
 			"sample_interval":500,"thermal_interval":500}`, StateDone, `"DTM"`},
 		{"failed", `{"warm_cycles":0,"measure_cycles":0,"seed":13}`, StateFailed, ""},
@@ -649,7 +649,7 @@ func TestBadRequests(t *testing.T) {
 	// otherwise queue the default 250k-cycle run, and a retired field
 	// would be dropped without the client learning it is gone. A full
 	// machine description is one: a request names its machine only by
-	// scheme and overrides.
+	// scheme and overrides. The retired digest audit is another.
 	// So are DTM strings that do not parse (the check Instrument runs):
 	// such a job would otherwise warm and settle a machine before failing.
 	// So is a machine whose CPUs do not fit its placement: eight stacked
@@ -659,11 +659,15 @@ func TestBadRequests(t *testing.T) {
 	// it. So is an unknown benchmark. Each would otherwise fail in
 	// a worker and stay in the registry as a cached failed job. A negative
 	// override is refused by name too, instead of building the default
-	// machine and answering with the default job's cached results.
+	// machine and answering with the default job's cached results. So is
+	// stacking on CMP-DNUCA, whose edge placement cannot stack: it would
+	// run the unstacked machine and cache it under a second config hash.
 	for field, body := range map[string]string{
 		"measure_cyles":         `{"scheme":"dnuca3d","measure_cyles":1000}`,
 		"shards":                `{"scheme":"dnuca3d","shards":2}`,
 		"config":                `{"config":{}}`,
+		"digest_verify":         `{"digest_verify":true}`,
+		"StackCPUs":             `{"scheme":"dnuca","stack_cpus":true}`,
 		"bogus":                 `{"scheme":"dnuca3d","dtm_policy":"bogus"}`,
 		"9/4":                   `{"scheme":"dnuca3d","dtm_policy":"duty","duty_cycle":"9/4"}`,
 		"placement":             `{"scheme":"dnuca3d","pillars":2,"stack_cpus":true}`,

@@ -11,6 +11,9 @@ type Table3Row struct {
 	PaperAvgC  float64
 	PaperMinC  float64
 	Profile    Profile
+	// Grid is the solved steady-state grid the Profile summarizes (filled
+	// by Table3), for rendering the row's heat map.
+	Grid *Grid
 	// Iters and Converged report the steady-state solver's behavior for
 	// this row (filled by Table3): the Gauss–Seidel iteration count and
 	// whether it reached tolerance before the iteration cap.
@@ -65,6 +68,7 @@ func Table3(prm Params) ([]Table3Row, error) {
 		}
 		g, iters, converged := SimulateGrid(top.Dim, top.CPUs, prm)
 		rows[i].Profile = g.Profile()
+		rows[i].Grid = g
 		rows[i].Iters = iters
 		rows[i].Converged = converged
 	}

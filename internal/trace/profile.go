@@ -396,10 +396,3 @@ func (g *Generator) advanceCode(r *Ref) {
 		r.Code = g.code.Line(g.codeLine)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Bad-input smoke test of the nimsim and experiments CLIs: build each
-# binary once, feed it every documented bad input, and assert each exits 1
-# within 20 seconds with a "<command>:" message on stderr, nothing on
-# stdout and no Go panic, not even one the runner recovered and reported
-# as "panicked". Then run
-# a few valid nimsim invocations and check the files they write.
+# Bad-input smoke test of the nimsim, experiments, placement and thermal3d
+# CLIs: build each binary once, feed it every documented bad input, and
+# assert each exits 1 within 20 seconds with a "<command>:" message on
+# stderr, nothing on stdout and no Go panic, not even one the runner
+# recovered and reported as "panicked". Then run a few valid nimsim
+# invocations and check the files they write.
 # Runs in a temporary directory, so the missing replay file stays missing
 # and nothing is left behind.
 #
@@ -14,9 +14,10 @@ cd "$(dirname "$0")/.."
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
-echo "cli_smoke: building nimsim and experiments"
-go build -o "$TMP/nimsim" ./cmd/nimsim
-go build -o "$TMP/experiments" ./cmd/experiments
+echo "cli_smoke: building nimsim, experiments, placement and thermal3d"
+for cmd in nimsim experiments placement thermal3d; do
+  go build -o "$TMP/$cmd" "./cmd/$cmd"
+done
 cd "$TMP"
 
 FAIL=0
@@ -75,6 +76,9 @@ check -diverge seed=2 -dtm all -tinterval 0
 # them, on the one-shot and the -diverge paths.
 check -scheme dnuca3d -pillars 2 -stack
 check -diverge pillars=2,stack=true
+# CMP-DNUCA places its CPUs on the chip edges, so stacking them is refused
+# rather than ignored.
+check -scheme dnuca -stack
 # A pillar count with no grid on the 16x8 layer is refused, at once even
 # when the count is 2^40.
 check -pillars 17
@@ -100,6 +104,11 @@ run experiments -all -bench mgrid,
 run experiments -table 1 -figure 99
 run experiments -table 9
 run experiments -figure 13 -seeds -3 -bench mgrid -warm 10 -measure 10
+# placement and thermal3d build their machines as nimsim does, so a flag
+# the machine cannot honour is refused, not dropped: the edge scheme has
+# one layer, and Table 3 fixes its own pillars and placements.
+run placement -edge -layers 4
+run thermal3d -stack -pillars 2
 # -json still writes the host timeline, which goes to a file.
 produces '[ -s pt.json ]' -json -proftrace pt.json -warm 1000 -measure 4000
 # The metrics CSV stays plain RFC 4180 when the event-trace ring drops.
